@@ -11,14 +11,12 @@ Workload: a 200-task ring with 8 circulating tokens and staggered response
 times, i.e. (almost) every firing triggers its own dispatch round while ~192
 tasks are ineligible at any instant -- the regime where per-event dispatch
 cost dominates.  Tracing is off (the engine's configurable trace levels exist
-for exactly this).  Four configurations are measured:
+for exactly this).  Three configurations are measured:
 
 1. the seed-faithful reference: polling dispatch over buffers that recompute
    their window aggregates on every check,
 2. polling dispatch over cached-floor buffers (isolates the caching gain),
-3. the indexed ready-set engine (the default execution path),
-4. the ready-set engine with the compiled integer dispatch kernel built at
-   ``wire_buffers`` time (``kernel="on"``).
+3. the indexed ready-set engine (the default execution path).
 
 The equivalence tests (tests/test_engine.py) separately assert that all
 configurations produce bit-identical traces; here only throughput differs.
@@ -70,7 +68,7 @@ class SeedReferenceBuffer(CircularBuffer):
         return max((w.acquired for w in self._producers.values()), default=self._initial)
 
 
-def _events_per_second(mode: str, buffer_factory, kernel: str = "off") -> float:
+def _events_per_second(mode: str, buffer_factory) -> float:
     """Best-of-N completed firings per wall-clock second."""
     best = 0.0
     for _ in range(REPEATS):
@@ -83,7 +81,6 @@ def _events_per_second(mode: str, buffer_factory, kernel: str = "off") -> float:
             mode=mode,
             stop_after_firings=FIRINGS,
             trace=TraceRecorder(level="off"),
-            kernel=kernel,
         )
         elapsed = time.perf_counter() - started
         assert run.engine.completed_firings >= FIRINGS
@@ -95,13 +92,11 @@ def test_engine_dispatch_throughput():
     seed_rate = _events_per_second("polling", SeedReferenceBuffer)
     polling_rate = _events_per_second("polling", CircularBuffer)
     ready_rate = _events_per_second("ready-set", CircularBuffer)
-    kernel_rate = _events_per_second("ready-set", CircularBuffer, kernel="on")
 
     rows = [
         ["polling + uncached windows (seed)", f"{seed_rate:,.0f}", "1.0x"],
         ["polling + cached floors", f"{polling_rate:,.0f}", f"{polling_rate / seed_rate:.1f}x"],
         ["ready-set engine (default)", f"{ready_rate:,.0f}", f"{ready_rate / seed_rate:.1f}x"],
-        ["ready-set + compiled kernel", f"{kernel_rate:,.0f}", f"{kernel_rate / seed_rate:.1f}x"],
     ]
     print_table(
         f"Engine dispatch throughput ({TASK_COUNT}-task ring, {FIRINGS} firings, tracing off)",
@@ -110,14 +105,6 @@ def test_engine_dispatch_throughput():
     )
 
     assert ready_rate >= polling_rate, "indexed dispatch slower than whole-fleet polling"
-    # The compiled kernel short-circuits per-event Python overhead; the gain
-    # is workload-dependent (~1.1x here, more on fan-out graphs), so the
-    # floor only guards against the kernel path regressing below the
-    # interpreted dispatcher (with a noise margin for shared runners).
-    assert kernel_rate >= 0.9 * ready_rate, (
-        f"compiled kernel ({kernel_rate:,.0f} ev/s) slower than interpreted "
-        f"ready-set dispatch ({ready_rate:,.0f} ev/s)"
-    )
     assert ready_rate / seed_rate >= REQUIRED_SPEEDUP, (
         f"ready-set engine delivered only {ready_rate / seed_rate:.1f}x over the "
         f"seed-equivalent dispatcher (required {REQUIRED_SPEEDUP}x)"

@@ -1,7 +1,7 @@
 """Shared fixtures and reporting helpers for the benchmark harness.
 
-Every benchmark module reproduces one figure / experiment of the paper (see
-DESIGN.md's experiment index and EXPERIMENTS.md for the recorded outcomes).
+Every ``bench_fig*`` module reproduces one figure / experiment of the paper
+(its docstring names the figure and the claim it checks).
 Each benchmark both *measures* the analysis step with pytest-benchmark and
 *prints* the rows/series the corresponding figure reports, so running
 

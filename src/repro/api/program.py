@@ -418,7 +418,6 @@ class Analysis:
         time_base: Optional[TimeBaseLike] = None,
         fast_forward: Union[bool, str] = "auto",
         trace_retention: Optional[int] = None,
-        kernel: str = "auto",
     ) -> Simulation:
         """A fresh :class:`~repro.runtime.simulator.Simulation` of the program
         with the analysis-derived buffer capacities."""
@@ -447,7 +446,6 @@ class Analysis:
             time_base=time_base if time_base is not None else program.time_base,
             fast_forward=fast_forward,
             trace_retention=trace_retention,
-            kernel=kernel,
         )
 
     def run(
@@ -467,7 +465,6 @@ class Analysis:
         time_base: Optional[TimeBaseLike] = None,
         fast_forward: Optional[Union[bool, str]] = None,
         trace_retention: Optional[int] = None,
-        kernel: str = "auto",
     ) -> "RunResult":
         """Execute the program for *duration* seconds of simulated time.
 
@@ -494,8 +491,8 @@ class Analysis:
         fast-forward *value-exactly* (bit-identical to a naive run), all
         others step naively, recording structured warnings on the
         undeclared paths (see
-        :class:`~repro.runtime.simulator.Simulation`).  ``fast_forward`` /
-        ``trace_retention`` / ``kernel`` are forwarded to the simulation;
+        :class:`~repro.runtime.simulator.Simulation`).  ``fast_forward`` and
+        ``trace_retention`` are forwarded to the simulation;
         configurations that cannot fast-forward run naively and record why
         in :attr:`RunResult.warnings`.
         """
@@ -520,7 +517,6 @@ class Analysis:
             time_base=time_base,
             fast_forward=fast_forward,
             trace_retention=trace_retention,
-            kernel=kernel,
         )
         duration = as_rational(duration)
         recorder = simulation.run(duration)

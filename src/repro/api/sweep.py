@@ -101,7 +101,6 @@ RUN_AXES = (
     "time_base",
     "fast_forward",
     "trace_retention",
-    "kernel",
 )
 
 

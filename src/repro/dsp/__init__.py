@@ -4,7 +4,7 @@
 * :mod:`repro.dsp.resample` -- rational resampling and decimation,
 * :mod:`repro.dsp.mixer` -- frequency mixing and spectral helpers,
 * :mod:`repro.dsp.pal` -- the synthetic composite PAL-like signal that
-  substitutes the paper's RF front-end (see DESIGN.md).
+  substitutes the paper's RF front-end.
 """
 
 from repro.dsp.filters import StreamingFIR, block_convolve, design_lowpass

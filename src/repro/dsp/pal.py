@@ -2,7 +2,7 @@
 
 The paper's case study decodes a broadcast PAL signal sampled at 6.4 MS/s by
 an analog RF front-end -- hardware and data we do not have.  As a substitute
-(documented in DESIGN.md) this module synthesises a composite baseband signal
+this module synthesises a composite baseband signal
 with the two properties the decoder exercises:
 
 * a *video band* occupying the low part of the spectrum (a sum of slowly

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
@@ -57,10 +58,6 @@ if TYPE_CHECKING:  # imports only for annotations: runtime.simulator imports us
     from repro.runtime.sources import SinkDriver, SourceDriver
     from repro.runtime.tasks import RuntimeTask
     from repro.runtime.trace import TraceRecorder
-
-#: Compiled-kernel requests accepted by the engine.
-KERNEL_MODES = ("auto", "on", "off")
-
 
 class ReadySet:
     """An ordered ready set that replays the polling dispatcher's pass order.
@@ -153,16 +150,10 @@ class ExecutionEngine:
     mode:
         ``"ready-set"`` (indexed dispatch, the default) or ``"polling"``
         (the brute-force whole-fleet reference).
-    kernel:
-        The compiled dispatch kernel specialises the per-program hot loop at
-        :meth:`wire_buffers` time: wcets pre-converted to ticks, window
-        objects pre-bound per task, dependent indices pre-resolved per
-        buffer -- the firing path then touches no dicts and no
-        :class:`~fractions.Fraction`.  It applies to ready-set dispatch
-        under boolean policies on an integer-tick queue; traces are
-        bit-identical to the interpreted path.  ``"auto"`` (default) uses
-        it whenever applicable, ``"off"`` never, ``"on"`` requires it
-        (``ValueError`` at :meth:`wire_buffers` when inapplicable).
+
+    Every dispatch loop starts firings through the same task path (windows
+    bound once, floors read from the buffers' caches) and ends them in one
+    completion tail (:meth:`_complete`).
     """
 
     MODES = ("ready-set", "polling")
@@ -174,10 +165,8 @@ class ExecutionEngine:
         *,
         policy: Optional[SchedulerPolicy] = None,
         mode: str = "ready-set",
-        kernel: str = "auto",
     ) -> None:
         check_in(mode, self.MODES, "mode")
-        check_in(kernel, KERNEL_MODES, "kernel")
         self.queue = queue
         self.trace = trace
         self.policy: SchedulerPolicy = policy if policy is not None else SelfTimedUnbounded()
@@ -210,12 +199,6 @@ class ExecutionEngine:
         #: units; maintained independently of the trace so makespans survive
         #: ``trace_level="off"``.  Read via :attr:`last_completion_time`.
         self._last_completion: Union[int, Fraction] = 0
-        #: compiled-kernel state: the request ("auto"/"on"/"off"), whether it
-        #: was activated at wire time, and whether the policy is the trivial
-        #: self-timed one (per-firing policy calls skipped entirely)
-        self._kernel_request = kernel
-        self.kernel_active = False
-        self._kernel_trivial = False
         #: steady-state fast-forward detector (enable_fast_forward)
         self._steady: Optional["SteadyState"] = None
         # A fresh engine is a fresh execution: drop any processor accounting
@@ -353,24 +336,6 @@ class ExecutionEngine:
             if callable(processor_of):
                 for task in self.tasks:
                     self._duration_on(task, processor_of(task))
-        # The compiled kernel needs pre-resolvable state: indexed dispatch
-        # (pass order), boolean policies (no processors/preemption) and an
-        # integer-tick clock (wcets as plain ints).
-        applicable = (
-            self.mode == "ready-set"
-            and not self.platform_mode
-            and queue.timebase is not None
-        )
-        if self._kernel_request == "on" and not applicable:
-            raise ValueError(
-                "kernel='on' requires ready-set dispatch under a boolean "
-                "policy on an integer-tick time base"
-            )
-        self.kernel_active = applicable and self._kernel_request != "off"
-        if self.kernel_active:
-            self._kernel_trivial = type(self.policy) is SelfTimedUnbounded
-            for task in self.tasks:
-                task.bind_windows()
         if self.mode == "polling":
             return
         readers: Dict[CircularBuffer, List[RuntimeTask]] = {}
@@ -384,24 +349,14 @@ class ExecutionEngine:
                 dependents = writers.setdefault(task.buffers[access.buffer], [])
                 if task not in dependents:
                     dependents.append(task)
-        waker = self._index_waker if self.kernel_active else self._waker
         for buffer, dependents in readers.items():
-            buffer.watch_tokens(waker(dependents))
+            buffer.watch_tokens(self._waker(dependents))
         for buffer, dependents in writers.items():
-            buffer.watch_space(waker(dependents))
+            buffer.watch_space(self._waker(dependents))
 
     def _waker(self, dependents: Sequence[RuntimeTask]) -> Callable[[], None]:
-        def wake() -> None:
-            for task in dependents:
-                self.wake_task(task)
-
-        return wake
-
-    def _index_waker(self, dependents: Sequence[RuntimeTask]) -> Callable[[], None]:
-        """Compiled-kernel waker: dependent indices pre-resolved, ready-set
-        pushes inlined.  Wake-for-wake identical to :meth:`_waker` -- the
-        dispatch event is scheduled exactly when a non-busy dependent was
-        pushed (and :meth:`schedule_dispatch` is idempotent anyway)."""
+        """A buffer watcher pushing *dependents* onto the ready set; their
+        indices are resolved once here, not per wake."""
         pairs = [(task, self._index[task]) for task in dependents]
         ready = self._ready
 
@@ -446,9 +401,7 @@ class ExecutionEngine:
         self._dispatch_pending = False
         self._in_dispatch = True
         try:
-            if self.kernel_active:
-                self._dispatch_compiled()
-            elif self.mode == "polling":
+            if self.mode == "polling":
                 self._dispatch_polling()
             elif self.platform_mode:
                 self._dispatch_platform()
@@ -474,74 +427,21 @@ class ExecutionEngine:
         busy, not next in the static order) are kept queued for the next
         dispatch, which the policy's releasing completion always schedules.
         """
+        ready, tasks, policy = self._ready, self.tasks, self.policy
         stalled: List[int] = []
-        while True:
-            index = self._ready.pop()
-            if index is None:
-                break
-            task = self.tasks[index]
-            if not task.can_fire():
-                continue  # re-queued by the next relevant buffer change
-            if not self.policy.allow_start(task):
-                stalled.append(index)
-                continue
-            self._start_task(task)
-        for index in stalled:
-            self._ready.push(index)
-
-    def _dispatch_compiled(self) -> None:
-        """The compiled kernel's hot loop: :meth:`_dispatch_ready_set` with
-        eligibility inlined over pre-bound windows and cached floors.
-
-        Same pop order, same eligibility semantics (reads before writes,
-        first failure wins), same stalled re-queueing -- traces are
-        bit-identical to the interpreted loop; only dict lookups, method
-        calls and Fraction arithmetic are gone.  Under the trivial
-        self-timed policy the per-firing policy calls are skipped outright
-        (they are no-ops by definition).
-        """
-        ready = self._ready
-        tasks = self.tasks
-        policy = self.policy
-        trivial = self._kernel_trivial
-        stalled: Optional[List[int]] = None
         while True:
             index = ready.pop()
             if index is None:
                 break
             task = tasks[index]
-            if task.busy or not task.active or (task.one_shot and task.fired_once):
-                continue
-            eligible = True
-            for _, count, buffer, window in task._read_windows:
-                floor = buffer._producer_floor_cache
-                if floor is None:
-                    floor = buffer._producer_floor()
-                if window.acquired + count > floor:
-                    eligible = False
-                    break
-            if eligible:
-                for _, count, buffer, window in task._write_windows:
-                    if buffer._consumers:
-                        floor = buffer._consumer_floor_cache
-                        if floor is None:
-                            floor = buffer._consumer_floor()
-                    else:
-                        floor = 0
-                    if window.acquired + count - floor > buffer.capacity:
-                        eligible = False
-                        break
-            if not eligible:
+            if not task.can_fire():
                 continue  # re-queued by the next relevant buffer change
-            if not trivial and not policy.allow_start(task):
-                if stalled is None:
-                    stalled = []
+            if not policy.allow_start(task):
                 stalled.append(index)
                 continue
-            self._start_task_compiled(task)
-        if stalled:
-            for index in stalled:
-                ready.push(index)
+            self._start_task(task)
+        for index in stalled:
+            ready.push(index)
 
     def _dispatch_platform(self) -> None:
         """Ready-set dispatch under the rich platform protocol.
@@ -585,79 +485,59 @@ class ExecutionEngine:
 
     # -------------------------------------------------------------- execution
     def _start_task(self, task: RuntimeTask) -> None:
-        start = self.queue.now
+        queue = self.queue
         values = task.start_firing()
         self.policy.on_start(task)
         self.started_firings += 1
+        queue.schedule(
+            queue.now + task.wcet_internal,
+            partial(self._complete, task, values),
+            label=task._complete_label,
+        )
 
-        def complete() -> None:
-            executed = task.finish_firing(values)
-            self.completed_firings += 1
-            queue = self.queue
-            self._last_completion = queue.now
-            trace = self.trace
-            if trace.firings_enabled:
-                # The start is recomputed from the completion instant rather
-                # than closed over: a steady-state jump translates the
-                # pending completion event, and ``now - wcet`` translates
-                # with it (identical to the closed-over start otherwise).
-                trace.record_firing(
-                    task.producer_key(),
-                    queue.to_time(queue.now - task.wcet_internal),
-                    queue.to_time(queue.now),
-                    executed,
-                )
-            if trace.occupancy_enabled:
-                for access in task.task.writes:
-                    buffer = task.buffers[access.buffer]
-                    trace.record_occupancy(buffer.name, buffer.occupancy())
-            self.policy.on_complete(task)
-            if self.on_complete is not None:
-                self.on_complete(task)
-            self.wake_task(task)
-            self.schedule_dispatch()
-            steady = self._steady
-            if steady is not None and task is steady.anchor:
-                steady.on_anchor_completion()
+    def _complete(
+        self,
+        task: RuntimeTask,
+        values: dict,
+        processor: Optional["Processor"] = None,
+        start: Union[int, Fraction, None] = None,
+    ) -> None:
+        """The completion tail of every firing: release the outputs, record
+        the firing, notify the policy (with the *processor* under a platform
+        policy) and the simulator hook, wake the task, suspended firings and
+        the dispatcher, and sample the steady-state anchor.
 
-        self.queue.schedule(start + task.wcet_internal, complete, label=task._complete_label)
-
-    def _start_task_compiled(self, task: RuntimeTask) -> None:
-        """:meth:`_start_task` over the pre-bound fast paths (identical
-        event schedule, trace records and policy interaction)."""
+        Without a *start*, the firing's start is recomputed from the
+        completion instant rather than remembered: a steady-state jump
+        translates the pending completion event, and ``now - wcet``
+        translates with it.
+        """
+        executed = task.finish_firing(values)
+        self.completed_firings += 1
         queue = self.queue
-        values = task.start_firing_fast()
-        if not self._kernel_trivial:
-            self.policy.on_start(task)
-        self.started_firings += 1
-
-        def complete() -> None:
-            executed = task.finish_firing_fast(values)
-            self.completed_firings += 1
-            now = queue.now
-            self._last_completion = now
-            trace = self.trace
-            if trace.firings_enabled:
-                trace.record_firing(
-                    task._key,
-                    queue.to_time(now - task.wcet_internal),
-                    queue.to_time(now),
-                    executed,
-                )
-            if trace.occupancy_enabled:
-                for _, _, buffer, _ in task._write_windows:
-                    trace.record_occupancy(buffer.name, buffer.occupancy())
-            if not self._kernel_trivial:
-                self.policy.on_complete(task)
-            if self.on_complete is not None:
-                self.on_complete(task)
-            self.wake_task(task)
-            self.schedule_dispatch()
-            steady = self._steady
-            if steady is not None and task is steady.anchor:
-                steady.on_anchor_completion()
-
-        queue.schedule(queue.now + task.wcet_internal, complete, label=task._complete_label)
+        now = queue.now
+        self._last_completion = now
+        trace = self.trace
+        if trace.firings_enabled:
+            if start is None:
+                start = now - task.wcet_internal
+            trace.record_firing(task._key, queue.to_time(start), queue.to_time(now), executed)
+        if trace.occupancy_enabled:
+            for _, _, buffer in task._writes:
+                trace.record_occupancy(buffer.name, buffer.occupancy())
+        if processor is None:
+            self.policy.on_complete(task)
+        else:
+            self.policy.on_complete(task, processor)
+        if self.on_complete is not None:
+            self.on_complete(task)
+        self.wake_task(task)
+        if self._suspended:
+            self._wake_suspended()
+        self.schedule_dispatch()
+        steady = self._steady
+        if steady is not None and task is steady.anchor:
+            steady.on_anchor_completion()
 
     # ------------------------------------------------- platform-mode execution
     def _duration_on(self, task: RuntimeTask, processor: "Processor") -> Union[int, Fraction]:
@@ -691,33 +571,12 @@ class ExecutionEngine:
 
     def _complete_platform(self, firing: ActiveFiring) -> None:
         task = firing.task
-        queue = self.queue
         del self._active[task]
-        executed = task.finish_firing(firing.values)
-        self.completed_firings += 1
-        self._last_completion = queue.now
         name = firing.processor.name
         self._busy_internal[name] = (
-            self._busy_internal.get(name, 0) + queue.now - firing.segment_start
+            self._busy_internal.get(name, 0) + self.queue.now - firing.segment_start
         )
-        trace = self.trace
-        if trace.firings_enabled:
-            trace.record_firing(
-                task.producer_key(), queue.to_time(firing.start), queue.to_time(queue.now), executed
-            )
-        if trace.occupancy_enabled:
-            for access in task.task.writes:
-                buffer = task.buffers[access.buffer]
-                trace.record_occupancy(buffer.name, buffer.occupancy())
-        self.policy.on_complete(task, firing.processor)
-        if self.on_complete is not None:
-            self.on_complete(task)
-        self.wake_task(task)
-        self._wake_suspended()
-        self.schedule_dispatch()
-        steady = self._steady
-        if steady is not None and task is steady.anchor:
-            steady.on_anchor_completion()
+        self._complete(task, firing.values, firing.processor, firing.start)
 
     def _preempt(self, victim: RuntimeTask) -> None:
         """Suspend the in-flight firing of *victim*: cancel its completion
@@ -815,7 +674,6 @@ def run_tasks(
     trace: Optional[TraceRecorder] = None,
     time_base: Union[str, TimeBase, None] = "auto",
     fast_forward: Union[bool, str] = "auto",
-    kernel: str = "auto",
 ) -> EngineRun:
     """Execute *tasks* data-driven on a fresh event queue.
 
@@ -858,9 +716,6 @@ def run_tasks(
       Refusals (speed-migrating preemptive policies, fraction-mode queues)
       are recorded in ``EngineRun.warnings``.
     * ``False`` runs naively.
-
-    ``kernel`` selects the compiled dispatch kernel (see
-    :class:`ExecutionEngine`).
     """
     from repro.runtime.events import EventQueue
     from repro.runtime.trace import TraceRecorder
@@ -897,7 +752,7 @@ def run_tasks(
         raise ValueError(f"unknown time base {time_base!r}")
     queue = EventQueue(timebase)
     trace = trace if trace is not None else TraceRecorder()
-    engine = ExecutionEngine(queue, trace, policy=policy, mode=mode, kernel=kernel)
+    engine = ExecutionEngine(queue, trace, policy=policy, mode=mode)
     for task in tasks:
         engine.register_task(task)
     engine.wire_buffers()

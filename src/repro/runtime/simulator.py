@@ -224,12 +224,6 @@ class Simulation:
         stores everything.  Streaming counters and rates remain exact either
         way; long fast-forwarded horizons need a cap (or a coarser
         ``trace_level``) to avoid materialising billions of records.
-    kernel:
-        ``"auto"`` (default), ``"on"`` or ``"off"`` -- the engine's compiled
-        integer dispatch kernel (flat window bindings, no dict lookups in
-        the hot loop).  ``"auto"`` engages it whenever applicable
-        (ready-set dispatcher, tick time base, non-platform policy); traces
-        are bit-identical with the kernel on or off.
     """
 
     def __init__(
@@ -250,7 +244,6 @@ class Simulation:
         time_base: Union[str, TimeBase] = "auto",
         fast_forward: Union[bool, str] = "auto",
         trace_retention: Optional[int] = None,
-        kernel: str = "auto",
     ) -> None:
         self.result = result
         self.registry = registry
@@ -264,9 +257,7 @@ class Simulation:
         self.platform = platform if platform is not None else getattr(scheduler, "platform", None)
         self.queue = EventQueue()
         self.trace = TraceRecorder(level=trace_level, retention=trace_retention)
-        self.engine = ExecutionEngine(
-            self.queue, self.trace, policy=scheduler, mode=dispatcher, kernel=kernel
-        )
+        self.engine = ExecutionEngine(self.queue, self.trace, policy=scheduler, mode=dispatcher)
         self.engine.on_complete = self._after_firing
         self.fast_forward = fast_forward
         #: fast-forward refusals recorded for this simulation (see the

@@ -26,7 +26,7 @@ assignment right-hand sides and function-call arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -137,9 +137,11 @@ class RuntimeTask:
 
     The producer key and the (name, count, buffer) access bindings are
     immutable for the lifetime of the task, so they are resolved once at
-    construction: ``can_fire`` / ``start_firing`` / ``finish_firing`` run on
-    every single firing of a simulation and must not rebuild strings or chase
-    two dictionary lookups per access.
+    construction.  The buffer windows themselves are resolved once on first
+    use (:meth:`bind_windows`), after the owner has registered them:
+    ``can_fire`` / ``start_firing`` / ``finish_firing`` run on every single
+    firing of a simulation and touch only the bound window objects and the
+    buffers' cached floors -- no strings, no dictionary lookups.
     """
 
     name: str
@@ -184,9 +186,9 @@ class RuntimeTask:
         #: completion-event label; unique per task instance so the pending
         #: events of the queue identify the firing in the steady-state key
         self._complete_label = f"complete:{self._key}"
-        # Window bindings for the compiled kernel (see bind_windows).
-        self._read_windows: List[tuple] = []
-        self._write_windows: List[tuple] = []
+        #: (name, count, buffer, window) per access; None until bound
+        self._read_windows: Optional[List[tuple]] = None
+        self._write_windows: Optional[List[tuple]] = None
         #: the input values of the in-flight firing (None while idle); the
         #: value-exact fast-forward key folds them in -- a busy task's
         #: pending body runs on exactly these values after a jump
@@ -234,11 +236,11 @@ class RuntimeTask:
         return self._function_names
 
     def bind_windows(self) -> None:
-        """Resolve this task's window objects once (compiled-kernel setup).
+        """Resolve this task's window objects once.
 
-        Called by the engine after every window is registered: the per-firing
-        fast paths then mutate the :class:`WindowState` objects directly
-        instead of looking them up by producer key in the buffer's dicts.
+        Runs lazily on the first eligibility check or firing, so the owner
+        may register the task's windows after constructing it; windows are
+        never replaced afterwards (they move and (de)activate in place).
         """
         key = self._key
         self._read_windows = [
@@ -252,73 +254,35 @@ class RuntimeTask:
 
     # ------------------------------------------------------------ eligibility
     def can_fire(self) -> bool:
-        if self.busy or not self.active:
+        """True when the task may start: idle, active, and every read window
+        has its tokens and every write window its space (the buffers' cached
+        floors are read directly; reads are checked before writes)."""
+        if self.busy or not self.active or (self.one_shot and self.fired_once):
             return False
-        if self.one_shot and self.fired_once:
-            return False
-        key = self._key
-        for _, count, buffer in self._reads:
-            if not buffer.can_consume(key, count):
+        if self._read_windows is None:
+            self.bind_windows()
+        for _, count, buffer, window in self._read_windows:
+            floor = buffer._producer_floor_cache
+            if floor is None:
+                floor = buffer._producer_floor()
+            if window.acquired + count > floor:
                 return False
-        for _, count, buffer in self._writes:
-            if not buffer.can_produce(key, count):
+        for _, count, buffer, window in self._write_windows:
+            if buffer._consumers:
+                floor = buffer._consumer_floor_cache
+                if floor is None:
+                    floor = buffer._consumer_floor()
+            else:
+                floor = 0
+            if window.acquired + count - floor > buffer.capacity:
                 return False
         return True
 
     # --------------------------------------------------------------- execution
     def start_firing(self) -> Dict[str, Any]:
         """Atomically consume the inputs and return the values read."""
-        key = self._key
-        values: Dict[str, Any] = {}
-        for name, count, buffer in self._reads:
-            data = buffer.consume(key, count)
-            values[name] = data if count > 1 else data[0]
-        self.busy = True
-        self.inflight_values = values
-        return values
-
-    def finish_firing(self, values: Dict[str, Any]) -> bool:
-        """Execute the (guarded) body and release the outputs.
-
-        Returns True when the guarded body actually executed.
-        """
-        key = self._key
-        execute = True
-        if self.task.guard is not None:
-            execute = bool(evaluate_expression(self.task.guard, values, self.registry))
-
-        outputs: Optional[Dict[str, List[Any]]] = self._run_body(values) if execute else None
-
-        for name, count, buffer in self._writes:
-            produced = outputs.get(name) if outputs is not None else None
-            if produced is not None and len(produced) != count:
-                raise OilRuntimeError(
-                    f"task {self.name!r}: function produced {len(produced)} values for "
-                    f"{name!r}, expected {count}"
-                )
-            buffer.produce(key, produced, count)
-
-        self.busy = False
-        self.inflight_values = None
-        self.completed_firings += 1
-        self.phase_firings += 1
-        if self.one_shot:
-            self.fired_once = True
-            # A completed initialisation retires its windows: the floors it
-            # would otherwise pin forever are handed over to the loop tasks
-            # of the same module instance, which continue the streams (see
-            # CircularBuffer.retire_producer); windows of other instances
-            # and of sink/source drivers are left untouched.
-            scope = f"{self.instance}:"
-            for _, _, buffer in self._writes:
-                buffer.retire_producer(key, scope=scope)
-            for _, _, buffer in self._reads:
-                buffer.retire_consumer(key, scope=scope)
-        return execute
-
-    # ---------------------------------------------- compiled-kernel fast paths
-    def start_firing_fast(self) -> Dict[str, Any]:
-        """:meth:`start_firing` on pre-bound windows (no dict lookups)."""
+        if self._read_windows is None:
+            self.bind_windows()
         values: Dict[str, Any] = {}
         for name, count, buffer, window in self._read_windows:
             data = buffer.consume_window(window, count)
@@ -327,10 +291,12 @@ class RuntimeTask:
         self.inflight_values = values
         return values
 
-    def finish_firing_fast(self, values: Dict[str, Any]) -> bool:
-        """:meth:`finish_firing` on pre-bound windows.  Bit-identical
-        semantics: guard, body, output-length check and one-shot retirement
-        are the same code paths; only the window resolution is precomputed."""
+    def finish_firing(self, values: Dict[str, Any]) -> bool:
+        """Execute the (guarded) body on the *values* :meth:`start_firing`
+        returned and release the outputs.
+
+        Returns True when the guarded body actually executed.
+        """
         execute = True
         if self.task.guard is not None:
             execute = bool(evaluate_expression(self.task.guard, values, self.registry))
@@ -352,11 +318,16 @@ class RuntimeTask:
         self.phase_firings += 1
         if self.one_shot:
             self.fired_once = True
+            # A completed initialisation retires its windows: the floors it
+            # would otherwise pin forever are handed over to the loop tasks
+            # of the same module instance, which continue the streams (see
+            # CircularBuffer.retire_producer); windows of other instances
+            # and of sink/source drivers are left untouched.
             key = self._key
             scope = f"{self.instance}:"
-            for _, _, buffer, _ in self._write_windows:
+            for _, _, buffer in self._writes:
                 buffer.retire_producer(key, scope=scope)
-            for _, _, buffer, _ in self._read_windows:
+            for _, _, buffer in self._reads:
                 buffer.retire_consumer(key, scope=scope)
         return execute
 

@@ -226,6 +226,23 @@ class TestDispatcherEquivalence:
         assert a.engine.completed_firings == b.engine.completed_firings == 600
         assert_traces_identical(a.trace, b.trace)
 
+    @pytest.mark.parametrize("time_base", ["ticks", "fraction"])
+    @pytest.mark.parametrize(
+        "policy",
+        [SelfTimedUnbounded, lambda: BoundedProcessors(1), lambda: BoundedProcessors(2)],
+        ids=["self-timed", "bounded-1", "bounded-2"],
+    )
+    def test_ring_policy_traces_identical(self, policy, time_base):
+        # Gating policies on both clocks: the ready-set loop must replay the
+        # polling oracle's stalls and re-queues exactly.
+        runs = [
+            run_tasks(ring_program(12, tokens=6, stagger=3), policy=policy(), mode=mode,
+                      time_base=time_base, stop_after_firings=500)
+            for mode in ("polling", "ready-set")
+        ]
+        assert runs[0].engine.completed_firings == runs[1].engine.completed_firings == 500
+        assert_traces_identical(runs[0].trace, runs[1].trace)
+
     def test_invalid_dispatcher_rejected(self, quickstart_sized):
         result, sizing = quickstart_sized
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Steady-state fast-forward and the compiled dispatch kernel.
+"""Steady-state fast-forward.
 
 The contract under test (see :mod:`repro.engine.steady_state`) comes in two
 strengths.  With ``fast_forward=True`` (timing-exact mode) every
@@ -11,9 +11,7 @@ functions.  With ``fast_forward="auto"`` (the default, value-exact mode) a
 program whose stimuli are declared value-periodic and whose functions
 declare jump-exact behaviour produces *bit-identical sink values* through a
 jump -- the detector folds every value state into its periodicity key --
-and everything else silently falls back to naive stepping.  The compiled
-kernel must be observationally invisible: bit-identical traces with
-``kernel="on"`` and ``"off"``.
+and everything else silently falls back to naive stepping.
 """
 
 import itertools
@@ -186,61 +184,6 @@ class TestEngineFastForward:
         assert ff.fast_forwarded
         assert ff.engine.completed_firings == naive.engine.completed_firings
         assert_traces_identical(naive.trace, ff.trace)
-
-
-# ---------------------------------------------------------------------------
-# Compiled dispatch kernel
-# ---------------------------------------------------------------------------
-
-class TestCompiledKernel:
-    def test_kernel_on_off_bit_identical(self):
-        on = run_tasks(ring_program(30, tokens=4, stagger=2), kernel="on",
-                       stop_after_firings=2000)
-        off = run_tasks(ring_program(30, tokens=4, stagger=2), kernel="off",
-                        stop_after_firings=2000)
-        assert on.engine.kernel_active and not off.engine.kernel_active
-        assert_traces_identical(on.trace, off.trace)
-
-    def test_kernel_with_gating_policy_bit_identical(self):
-        on = run_tasks(ring_program(10, tokens=2), policy=BoundedProcessors(2),
-                       kernel="on", stop_after_firings=500)
-        off = run_tasks(ring_program(10, tokens=2), policy=BoundedProcessors(2),
-                        kernel="off", stop_after_firings=500)
-        assert on.engine.kernel_active
-        assert_traces_identical(on.trace, off.trace)
-
-    def test_kernel_on_raises_when_inapplicable(self):
-        with pytest.raises(ValueError):
-            run_tasks(
-                ring_program(10, tokens=2),
-                policy=ListScheduledPlatform(Platform.homogeneous(2)),
-                kernel="on",
-                stop_after_firings=10,
-            )
-        with pytest.raises(ValueError):
-            run_tasks(ring_program(10, tokens=2), kernel="sometimes")
-
-    def test_kernel_auto_disengages_for_platform_and_fraction_modes(self):
-        platform_run = run_tasks(
-            ring_program(10, tokens=2),
-            policy=ListScheduledPlatform(Platform.homogeneous(2)),
-            stop_after_firings=50,
-        )
-        assert not platform_run.engine.kernel_active
-        fraction_run = run_tasks(
-            ring_program(10, tokens=2), time_base="fraction", stop_after_firings=50
-        )
-        assert not fraction_run.engine.kernel_active
-
-    def test_kernel_composes_with_fast_forward(self):
-        horizon = Fraction(100)
-        reference = run_tasks(ring_program(16, tokens=3), kernel="off", horizon=horizon)
-        combined = run_tasks(
-            ring_program(16, tokens=3), kernel="on", horizon=horizon, fast_forward=True
-        )
-        assert combined.fast_forwarded and combined.engine.kernel_active
-        assert combined.engine.completed_firings == reference.engine.completed_firings
-        assert_traces_identical(reference.trace, combined.trace)
 
 
 # ---------------------------------------------------------------------------
