@@ -29,7 +29,13 @@ application:
    tolerances), and the auto row covers a >= 1e6-event horizon at
    fast-forward speed.
 
-4. Sampling overhead -- until the first recurrence the value-exact
+4. Full-trace replay -- under the defaults (``"auto"``, full trace,
+   unbounded retention) a jump replays the stored trace records of the
+   skipped periods as lazy repeat segments, so the ~1e7-event full-trace
+   row keeps every record (``len(trace.firings) == trace.firing_total``)
+   at fast-forward speed.
+
+5. Sampling overhead -- until the first recurrence the value-exact
    detector samples its incrementally maintained state key at every
    anchor completion.  A horizon inside the transient (no jump) measures
    that pure sampling phase; its wall clock must stay within a small
@@ -70,6 +76,11 @@ RETENTION = 4096
 VALUE_SECONDS = 4
 #: The auto-mode table row covers at least this many events fast-forwarded.
 AUTO_SECONDS = NAIVE_SECONDS if SMOKE else 2000
+#: Full-trace auto row: the defaults (full trace, unbounded retention) at
+#: ~1e7 events.  Sink values are still replayed eagerly, so this horizon is
+#: kept well below the timing rows'; it does not shrink under BENCH_SMOKE
+#: (a jump needs a horizon past the value-exact transient).
+FULL_TRACE_SECONDS = 200
 #: Sampling-overhead horizon: strictly inside the value-exact transient
 #: (the PAL decoder first recurs past ~3 simulated seconds), so the auto
 #: run pays detection sampling at every anchor completion and never jumps
@@ -109,18 +120,28 @@ def _run_for_values(seconds, fast_forward):
     return result, time.perf_counter() - started
 
 
+def _run_defaults(seconds):
+    # Everything at its default: fast_forward="auto", full trace, every
+    # record retained.
+    started = time.perf_counter()
+    result = Program.from_app("pal_decoder").analyze().run(Fraction(seconds))
+    return result, time.perf_counter() - started
+
+
 def test_fastforward_pal_decoder():
     naive, naive_wall = _run(NAIVE_SECONDS, fast_forward=False)
     assert not naive.fast_forwarded
 
     ff_runs = [_run(seconds, fast_forward=True) for seconds in FF_SECONDS]
     auto_run, auto_wall = _run(AUTO_SECONDS, fast_forward="auto")
+    full_run, full_wall = _run_defaults(FULL_TRACE_SECONDS)
 
     rows = []
     for label, result, wall in (
         [("naive", naive, naive_wall)]
         + [("fast-forward", result, wall) for result, wall in ff_runs]
         + [("auto (value-exact)", auto_run, auto_wall)]
+        + [("auto, full trace", full_run, full_wall)]
     ):
         queue = result.simulation.queue
         steady = result.simulation.engine.steady_state
@@ -179,6 +200,18 @@ def test_fastforward_pal_decoder():
         assert auto_run.fast_forwarded
         assert auto_run.simulation.queue.processed >= 10**6
         assert auto_wall <= MAX_WALL_RATIO * naive_wall
+
+    # Full-trace defaults: the jump replays stored records lazily, so every
+    # firing of the ~1e7-event horizon is retained and the row still runs at
+    # fast-forward speed.
+    full_trace = full_run.trace
+    assert full_run.fast_forwarded
+    assert len(full_trace.firings) == full_trace.firing_total
+    assert len(full_trace.endpoint_events) == full_trace.endpoint_total
+    assert full_wall <= MAX_WALL_RATIO * naive_wall, (
+        f"full-trace auto run took {full_wall:.2f}s against a "
+        f"{naive_wall:.2f}s naive reference (allowed {MAX_WALL_RATIO}x)"
+    )
 
     # Value-exactness: at a short horizon spanning a jump, the sink sample
     # values of the auto run are bit-identical to the naive run's.

@@ -47,7 +47,10 @@ per-``delta`` increments.  The detector then *jumps* ``K`` periods at once:
   so nothing new is enabled),
 * with unbounded trace retention, the stored trace records and sink values
   of the canonical period are replayed ``K`` times with shifted timestamps,
-  keeping even the stored trace bit-identical to a naive run.
+  keeping even the stored trace bit-identical to a naive run.  Sink values are
+  copied; trace records become one lazy repeat segment per record log
+  (:meth:`~repro.runtime.trace.TraceRecorder.replay_periodic`), so the
+  trace's share of a jump is independent of ``K``.
 
 Afterwards the simulation resumes naively; further anchor completions hit
 the same (shift-invariant) keys and trigger further jumps until the horizon
@@ -715,7 +718,8 @@ class SteadyState:
                     sink.consumed.extend(period_values)
 
         # 6. Trace: streaming counters always; stored records only when the
-        # retention is unbounded (a capped trace would drop them again).
+        # retention is unbounded (a capped trace would drop them again), as
+        # one lazy repeat segment per record log -- O(1) in ``periods``.
         shift_seconds = queue.to_time(shift)
         self.trace.extrapolate_periodic(snapshot.trace_snapshot, periods, shift_seconds)
         if self._replay:

@@ -36,13 +36,28 @@ derived measurements (:meth:`measured_rate`, :meth:`task_throughput`,
 after the stored lists were trimmed.  The steady-state fast-forward engine
 drives the same counters through :meth:`extrapolate_periodic` /
 :meth:`replay_periodic` so skipped periods stay accounted for.
+
+Each stored record kind is a :class:`RecordLog`: a read-only
+``Sequence`` (``firings``, ``endpoint_events`` and ``violations`` are typed
+``Sequence[...]``, not ``List[...]``) made of frozen segments plus a plain
+``list`` tail that new records are appended to.  A steady-state jump does not
+copy the skipped periods' records: :meth:`replay_periodic` freezes the tail
+and pushes one repeat segment pointing at the canonical period, so a jump's
+trace cost is independent of the horizon.  A record in a repeated period is
+generated on access -- the canonical record shifted by whole periods, equal
+by value to what a naive run stores -- as a fresh object each time, so
+mutating one does not persist.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from bisect import bisect_right
+from collections.abc import Sequence as _SequenceABC
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from itertools import chain
+from operator import eq, index as operator_index
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.util.rational import Rat
 from repro.util.validation import check_in
@@ -58,6 +73,9 @@ class Firing:
     end: Rat
     executed_body: bool
 
+    def shifted(self, offset: Rat) -> "Firing":
+        return Firing(self.task, self.start + offset, self.end + offset, self.executed_body)
+
 
 @dataclass
 class EndpointEvent:
@@ -66,6 +84,9 @@ class EndpointEvent:
     time: Rat
     value: object
 
+    def shifted(self, offset: Rat) -> "EndpointEvent":
+        return EndpointEvent(self.name, self.kind, self.time + offset, self.value)
+
 
 @dataclass
 class DeadlineViolation:
@@ -73,6 +94,157 @@ class DeadlineViolation:
     kind: str  # "source-overflow" | "sink-underflow"
     time: Rat
     detail: str = ""
+
+    def shifted(self, offset: Rat) -> "DeadlineViolation":
+        return DeadlineViolation(self.name, self.kind, self.time + offset, self.detail)
+
+
+def _segment_at(segments: Sequence, starts: Sequence[int], index: int):
+    """Record ``index`` (global) of back-to-back ``segments`` starting at
+    ``starts``; ``index`` must fall inside them."""
+    k = bisect_right(starts, index) - 1
+    return segments[k][index - starts[k]]
+
+
+class _Repeat:
+    """``copies`` repetitions of ``base``; copy ``c`` (counted from 0) is
+    every base record shifted by ``period * (c + 1)``, built on access."""
+
+    __slots__ = ("base", "copies", "period", "_width")
+
+    def __init__(self, base: Sequence, copies: int, period: Rat):
+        self.base = base
+        self.copies = copies
+        self.period = period
+        self._width = len(base)
+
+    def __len__(self) -> int:
+        return self.copies * self._width
+
+    def __getitem__(self, index: int):
+        copy, offset = divmod(index, self._width)
+        return self.base[offset].shifted(self.period * (copy + 1))
+
+    def __iter__(self) -> Iterator:
+        base = list(self.base)
+        period = self.period
+        for copy in range(1, self.copies + 1):
+            offset = period * copy
+            for record in base:
+                yield record.shifted(offset)
+
+
+class _Suffix:
+    """Read-only view of frozen ``segments`` (starting at global indices
+    ``starts``) from global index ``lo`` to their end."""
+
+    __slots__ = ("segments", "starts", "lo", "_len")
+
+    def __init__(self, segments: Tuple, starts: Tuple[int, ...], lo: int):
+        self.segments = segments
+        self.starts = starts
+        self.lo = lo
+        self._len = starts[-1] + len(segments[-1]) - lo
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index: int):
+        return _segment_at(self.segments, self.starts, self.lo + index)
+
+    def __iter__(self) -> Iterator:
+        first = self.segments[0]
+        for index in range(self.lo - self.starts[0], len(first)):
+            yield first[index]
+        for segment in self.segments[1:]:
+            yield from segment
+
+
+class RecordLog(_SequenceABC):
+    """Append-only store of one trace record kind.
+
+    A read-only ``Sequence``: frozen segments (plain lists, or lazy repeats
+    of an earlier span pushed by :meth:`repeat`) followed by a plain ``list``
+    tail.  :attr:`append` is the tail's bound ``list.append``, so recording
+    costs what appending to a list costs.  ``len`` is O(1); indexing,
+    slicing (which returns a ``list``), iteration and ``==`` against any
+    sequence behave as on the equivalent list.
+    """
+
+    __slots__ = ("append", "_segments", "_starts", "_frozen", "_tail")
+
+    def __init__(self, records: Iterable = ()):
+        self._segments: List = []
+        #: global index of each segment's first record
+        self._starts: List[int] = []
+        self._frozen = 0
+        self._tail: List = list(records)
+        self.append = self._tail.append
+
+    def __reduce__(self):
+        return (RecordLog, (self._tail,), (self._segments, self._starts, self._frozen))
+
+    def __setstate__(self, state) -> None:
+        self._segments, self._starts, self._frozen = state
+
+    def __len__(self) -> int:
+        return self._frozen + len(self._tail)
+
+    def __getitem__(self, index):
+        if not self._segments:
+            return self._tail[index]
+        if isinstance(index, slice):
+            return [self._at(i) for i in range(*index.indices(len(self)))]
+        index = operator_index(index)
+        size = len(self)
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("record log index out of range")
+        return self._at(index)
+
+    def _at(self, index: int):
+        if index >= self._frozen:
+            return self._tail[index - self._frozen]
+        return _segment_at(self._segments, self._starts, index)
+
+    def __iter__(self) -> Iterator:
+        return chain(chain.from_iterable(self._segments), self._tail)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _SequenceABC) or isinstance(other, (str, bytes, bytearray)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def _push(self, segment: Sequence) -> None:
+        self._starts.append(self._frozen)
+        self._segments.append(segment)
+        self._frozen += len(segment)
+
+    def repeat(self, start: int, copies: int, period: Rat) -> None:
+        """Append ``copies`` repetitions of ``self[start:]``, copy ``c``
+        (counted from 1) shifted by ``c * period``, without copying a record:
+        the tail is frozen and one lazy repeat segment pushed.  ``start`` may
+        lie in an earlier repeat; the base is then a view across segments."""
+        if self._tail:
+            self._push(self._tail)
+            self._tail = []
+            self.append = self._tail.append
+        if start >= self._frozen:
+            return
+        k = bisect_right(self._starts, start) - 1
+        base = _Suffix(tuple(self._segments[k:]), tuple(self._starts[k:]), start)
+        self._push(_Repeat(base, copies, period))
+
+    def trim(self, keep: int) -> None:
+        """Drop all but the last ``keep`` records."""
+        assert not self._segments, "retention trimming meets a replayed segment"
+        tail = self._tail
+        if len(tail) > keep:
+            del tail[: len(tail) - keep]
 
 
 class _Stat:
@@ -111,9 +283,9 @@ class TraceRecorder:
 
     def __init__(
         self,
-        firings: Optional[List[Firing]] = None,
-        endpoint_events: Optional[List[EndpointEvent]] = None,
-        violations: Optional[List[DeadlineViolation]] = None,
+        firings: Optional[Iterable[Firing]] = None,
+        endpoint_events: Optional[Iterable[EndpointEvent]] = None,
+        violations: Optional[Iterable[DeadlineViolation]] = None,
         buffer_high_water: Optional[Dict[str, int]] = None,
         level: str = "full",
         retention: Optional[int] = None,
@@ -123,11 +295,9 @@ class TraceRecorder:
             raise ValueError(f"trace retention must be >= 0, got {retention}")
         self.level = level
         self.retention = retention
-        self._firings: List[Firing] = list(firings) if firings else []
-        self._endpoint_events: List[EndpointEvent] = (
-            list(endpoint_events) if endpoint_events else []
-        )
-        self._violations: List[DeadlineViolation] = list(violations) if violations else []
+        self._firings = RecordLog(firings or ())
+        self._endpoint_events = RecordLog(endpoint_events or ())
+        self._violations = RecordLog(violations or ())
         self.buffer_high_water: Dict[str, int] = dict(buffer_high_water) if buffer_high_water else {}
         #: streaming per-endpoint / per-task statistics covering the full run
         self._endpoint_stats: Dict[str, _Stat] = {}
@@ -158,18 +328,20 @@ class TraceRecorder:
         return self.level != "off"
 
     # -------------------------------------------------------------- retention
-    def _trim(self, records: List) -> List:
-        retention = self.retention
-        if retention is not None and len(records) > retention:
-            del records[: len(records) - retention]
+    # A capped trace never holds replayed segments (the steady-state engine
+    # replays stored records only with unbounded retention), so trimming
+    # only ever cuts a log's plain tail.
+    def _trim(self, records: RecordLog) -> RecordLog:
+        if self.retention is not None:
+            records.trim(self.retention)
         return records
 
-    def _appended(self, records: List) -> None:
+    def _appended(self, records: RecordLog) -> None:
         # Chunked trimming: deleting the head of a list is O(n), so let the
         # list grow to twice the cap before cutting it back to size.
         retention = self.retention
         if retention is not None and len(records) > 2 * retention:
-            del records[: len(records) - retention]
+            records.trim(retention)
 
     @property
     def firing_total(self) -> int:
@@ -183,15 +355,15 @@ class TraceRecorder:
         return self._endpoint_total
 
     @property
-    def firings(self) -> List[Firing]:
+    def firings(self) -> Sequence[Firing]:
         return self._trim(self._firings)
 
     @property
-    def endpoint_events(self) -> List[EndpointEvent]:
+    def endpoint_events(self) -> Sequence[EndpointEvent]:
         return self._trim(self._endpoint_events)
 
     @property
-    def violations(self) -> List[DeadlineViolation]:
+    def violations(self) -> Sequence[DeadlineViolation]:
         return self._trim(self._violations)
 
     # ------------------------------------------------------------- recording
@@ -271,26 +443,19 @@ class TraceRecorder:
         """Append ``copies`` time-shifted repetitions of the records stored
         since ``lengths`` (a :meth:`stream_snapshot` ``lengths`` triple).
 
-        Only meaningful with unbounded retention: the stored lists then stay
+        Only meaningful with unbounded retention: the stored logs then stay
         bit-identical to a naive simulation of the skipped periods (values
         repeat the canonical period -- timing is value-independent, data is
-        periodic by construction of the detector's state key).  The streaming
-        counters are *not* touched here; :meth:`extrapolate_periodic` already
-        accounted for the copies.
+        periodic by construction of the detector's state key).  O(1) in
+        ``copies``: each log pushes one lazy repeat segment
+        (:meth:`RecordLog.repeat`).  The streaming counters are *not* touched
+        here; :meth:`extrapolate_periodic` already accounted for the copies.
         """
-        firing_slice = self._firings[lengths[0]:]
-        endpoint_slice = self._endpoint_events[lengths[1]:]
-        violation_slice = self._violations[lengths[2]:]
-        for copy_index in range(1, copies + 1):
-            offset = period * copy_index
-            for firing in firing_slice:
-                self._firings.append(
-                    replace(firing, start=firing.start + offset, end=firing.end + offset)
-                )
-            for event in endpoint_slice:
-                self._endpoint_events.append(replace(event, time=event.time + offset))
-            for violation in violation_slice:
-                self._violations.append(replace(violation, time=violation.time + offset))
+        assert self.retention is None, "stored records are replayed only without retention"
+        for records, start in zip(
+            (self._firings, self._endpoint_events, self._violations), lengths
+        ):
+            records.repeat(start, copies, period)
 
     # ----------------------------------------------------------- measurements
     def firings_of(self, task: str) -> List[Firing]:

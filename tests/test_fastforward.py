@@ -15,6 +15,7 @@ and everything else silently falls back to naive stepping.
 """
 
 import itertools
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 
@@ -178,12 +179,117 @@ class TestEngineFastForward:
             assert capped.task_throughput(key) == naive.trace.task_throughput(key)
 
     def test_multiple_jumps_across_repeated_horizon_extensions(self):
-        tasks = tasks_from_sdf(fig2_task_graph(), iterations=50)
-        naive = run_tasks(tasks_from_sdf(fig2_task_graph(), iterations=50), horizon=Fraction(400))
-        ff = run_tasks(tasks, horizon=Fraction(400), fast_forward=True)
-        assert ff.fast_forwarded
+        # Two run() calls on one simulation: the second call extends the
+        # horizon and jumps again, and its canonical period is matched
+        # against a state sampled before the first jump -- so the second
+        # replay's canonical span crosses the first replayed segment.
+        analysis = Program.from_app("modal_two_mode").analyze()
+        naive = analysis.simulation(fast_forward=False)
+        ff = analysis.simulation()
+        for end in (Fraction(1), Fraction(3)):
+            naive.run(end)
+            ff.run(end)
+        assert ff.engine.steady_state.jumps >= 2
         assert ff.engine.completed_firings == naive.engine.completed_firings
         assert_traces_identical(naive.trace, ff.trace)
+        for name in naive.sinks:
+            assert naive.sinks[name].consumed == ff.sinks[name].consumed, name
+        # The later repeat's base is a lazy view over segments that include
+        # the earlier repeat, not a materialised copy of its records.
+        repeats = [s for s in ff.trace.firings._segments if not isinstance(s, list)]
+        assert len(repeats) >= 2
+        assert any(
+            any(segment is repeats[0] for segment in later.base.segments)
+            for later in repeats[1:]
+        )
+
+
+# ---------------------------------------------------------------------------
+# Lazy trace replay: a jump stores repeat segments, not copied records
+# ---------------------------------------------------------------------------
+
+def _stored_records(log):
+    """Records a trace log holds as concrete objects (its plain segments)."""
+    return sum(len(s) for s in log._segments if isinstance(s, list)) + len(log._tail)
+
+
+def _two_mode_runs(end):
+    analysis = Program.from_app("modal_two_mode").analyze()
+    return (
+        analysis.run(end, fast_forward=False).trace,
+        analysis.run(end).trace,
+    )
+
+
+class TestLazyTraceReplay:
+    def test_jumped_trace_behaves_as_the_naive_list(self):
+        naive, ff = _two_mode_runs(Fraction(1))
+        assert ff.firings._segments, "no jump replayed stored records"
+        for n_log, f_log, total in (
+            (naive.firings, ff.firings, ff.firing_total),
+            (naive.endpoint_events, ff.endpoint_events, ff.endpoint_total),
+        ):
+            assert len(f_log) == total == len(n_log)
+            size = len(n_log)
+            for index in (0, 1, size // 2, size - 1, -1, -2, -size // 3, -size):
+                assert f_log[index] == n_log[index], index
+            for cut in (
+                slice(None), slice(-5, None), slice(3, 40), slice(None, None, 7),
+                slice(size - 3, 10, -4), slice(-size - 10, size + 10),
+            ):
+                assert isinstance(f_log[cut], list)
+                assert f_log[cut] == n_log[cut], cut
+            with pytest.raises(IndexError):
+                f_log[size]
+            with pytest.raises(IndexError):
+                f_log[-size - 1]
+            assert list(f_log) == n_log
+            assert f_log == n_log and n_log == f_log
+            assert not (f_log != n_log) and not (n_log != f_log)
+            assert f_log != n_log[:-1] and n_log[:-1] != f_log
+            assert f_log == tuple(n_log)
+        for task in {f.task for f in naive.firings}:
+            assert ff.firings_of(task) == naive.firings_of(task)
+        for name in {e.name for e in naive.endpoint_events}:
+            assert ff.events_of(name) == naive.events_of(name)
+
+    def test_records_appended_after_a_jump_are_iterated(self):
+        naive, ff = _two_mode_runs(Fraction(1))
+        assert ff.firings._segments
+        end = ff.firings[-1].end
+        for trace in (naive, ff):
+            trace.record_firing("late", end, end + 1, True)
+        assert ff.firings[-1].task == "late"
+        assert list(ff.firings)[-1] == ff.firings[-1]
+        assert ff.firings == naive.firings
+
+    def test_replayed_records_are_fresh_objects(self):
+        naive, ff = _two_mode_runs(Fraction(1))
+        index = len(ff.firings) // 2  # inside the replayed periods
+        record = ff.firings[index]
+        record.task = "mutated"
+        assert ff.firings[index] == naive.firings[index]
+
+    def test_jumped_trace_pickles(self):
+        naive, ff = _two_mode_runs(Fraction(1))
+        restored = pickle.loads(pickle.dumps(ff))
+        assert restored.firings._segments
+        assert_traces_identical(naive, restored)
+        assert restored.firing_total == ff.firing_total
+        end = restored.firings[-1].end
+        restored.record_firing("late", end, end + 1, True)
+        assert restored.firings[-1].task == "late"
+        assert len(restored.firings) == len(ff.firings) + 1
+
+    def test_stored_records_are_independent_of_the_horizon(self):
+        horizon = Fraction(1)
+        _, short = _two_mode_runs(horizon)
+        _, long = _two_mode_runs(10 * horizon)
+        for kind in ("firings", "endpoint_events"):
+            short_log, long_log = getattr(short, kind), getattr(long, kind)
+            assert _stored_records(long_log) == _stored_records(short_log), kind
+            assert 9 * len(short_log) <= len(long_log) <= 11 * len(short_log), kind
+        assert long.firing_total == len(long.firings)
 
 
 # ---------------------------------------------------------------------------
