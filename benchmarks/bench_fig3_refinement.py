@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from _reporting import print_table
 
-from repro.apps.modal_audio import compile_two_mode, simulate_two_mode
+from repro.api import Analysis
+from repro.apps.modal_audio import compile_two_mode, two_mode_program
 
 
 def test_fig3_two_mode_analysis(benchmark):
@@ -39,9 +40,8 @@ def test_fig3_periodicity_holds_for_any_mode_sequence(benchmark):
     def run_all():
         outcomes = []
         for schedule in [(("loop0", 1), ("loop1", 1)), (("loop0", 5), ("loop1", 2)), (("loop0", 2), ("loop1", 9))]:
-            _, trace = simulate_two_mode(
-                Fraction(1, 25), mode_schedule=schedule, result=result, sizing=sizing
-            )
+            program = two_mode_program(mode_schedule=schedule)
+            trace = Analysis(program, result, sizing=sizing).run(Fraction(1, 25)).trace
             outcomes.append((schedule, trace.deadline_miss_count(), float(trace.measured_rate("dac") or 0)))
         return outcomes
 

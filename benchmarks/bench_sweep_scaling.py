@@ -1,17 +1,15 @@
-"""Sweep executor scaling: serial vs GIL-bound threads vs processes.
+"""Sweep executor scaling: serial vs processes.
 
 The paper's headline result (Fig. 4) is speedup-vs-processors, and the
 ``Sweep`` subsystem is the tool that reproduces it -- so the sweep itself
 must scale with real cores.  This benchmark records points/sec on the
 PAL-decoder grid (the Fig. 4 scenario: ``BoundedProcessors(n)`` across a
-processor-count axis) for the three backends at 1/2/4 workers:
+processor-count axis) for the two backends:
 
 * ``serial`` -- one compilation, points executed in-loop (the baseline),
-* ``thread`` -- the PR-2 backend: deterministic, but the simulation is pure
-  Python, so the GIL serialises the actual work and extra threads buy ~0x,
-* ``process`` -- the spec-shipping backend: each worker rebuilds and
-  compiles the program once from its picklable ``ProgramSpec``, then
-  executes its chunk of points on a real core.
+* ``process`` at 2 and 4 workers -- the spec-shipping backend: each
+  worker rebuilds and compiles the program once from its picklable
+  ``ProgramSpec``, then executes its chunk of points on a real core.
 
 Every backend must produce the identical report (aggregation is by point
 index); the benchmark asserts it outright, so the scaling numbers can never
@@ -78,8 +76,6 @@ def _points_per_second(executor: str, workers: int):
 def test_sweep_executor_scaling():
     configurations = [
         ("serial", 1),
-        ("thread", 2),
-        ("thread", 4),
         ("process", 2),
         ("process", 4),
     ]

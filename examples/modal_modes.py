@@ -58,7 +58,7 @@ def run_two_mode() -> None:
     report = (
         Sweep(program=program, duration=Fraction(1, 10), name="two-mode schedules")
         .add_axis("mode_schedules", [{"TwoMode": list(s)} for s in schedules])
-        .run(workers=2)
+        .run()
     )
     print(report.table(columns=[
         "mode_schedules", "deadline_misses", "rate[dac]", "occupancy_ok",

@@ -7,8 +7,8 @@ rates (6.4 MS/s RF input, 4 MS/s video output, 32 kHz audio output), sizes
 the buffers, checks the audio/video synchronisation constraint and decodes a
 synthetic RF signal in the discrete-event runtime, reporting the recovered
 audio tone and the measured sink rates.  A :class:`repro.api.Sweep` then
-re-runs the decoder on 1..4 processors (Fig. 4 scenario axis) with parallel
-workers and aggregated reporting.
+re-runs the decoder on 1..4 processors (Fig. 4 scenario axis) on two worker
+processes, with aggregated reporting.
 
 All declared frequencies are divided by ``SCALE`` so the functional
 simulation finishes in seconds of wall-clock time; the rate *ratios* (25,
@@ -64,7 +64,7 @@ def main() -> None:
     report = (
         Sweep(program=program, duration=Fraction(1, 4))
         .add_axis("scheduler", [BoundedProcessors(n) for n in (1, 2, 3, 4)])
-        .run(workers=2)
+        .run(executor="process", workers=2)
     )
     print(report.table(columns=[
         "scheduler", "deadline_misses", "completed_firings", "occupancy_ok",

@@ -13,9 +13,8 @@ for parameter-grid scenario studies:
   occupancy-vs-capacity validation,
 * :class:`Sweep` / :class:`SweepReport` -- parameter grids (frequency
   scales, processor counts, rates, mode schedules) with shared compilation,
-  parallel workers (``executor="thread"`` or true multi-core
-  ``executor="process"`` via picklable :class:`ProgramSpec` shipping) and
-  tabular/JSON aggregation.
+  serial execution or multi-core ``executor="process"`` workers (via
+  picklable :class:`ProgramSpec` shipping) and tabular/JSON aggregation.
 
 The three-line happy path::
 
@@ -29,7 +28,7 @@ and the scenario-sweep counterpart::
     from repro.engine import BoundedProcessors
     report = (Sweep("pal_decoder", duration=0.25)
               .add_axis("scheduler", [BoundedProcessors(n) for n in (1, 2, 3, 4)])
-              .run(workers=2))
+              .run(executor="process", workers=2))
     print(report.table())
 """
 

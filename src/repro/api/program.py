@@ -299,8 +299,8 @@ class Analysis:
         registry: Optional[RegistryLike] = None,
         signals: Optional[SignalsLike] = None,
     ) -> "Analysis":
-        """Wrap pre-computed lower-level results in the facade (used by the
-        deprecated per-app helpers, which accept ``result``/``sizing``)."""
+        """Wrap pre-computed lower-level results (a compilation and,
+        optionally, its buffer sizing) in the facade."""
         if program is None:
             program = Program("", name="precompiled", registry=registry, signals=signals)
             program._compilation = compilation
@@ -408,7 +408,6 @@ class Analysis:
         *,
         scheduler: Optional[SchedulerPolicy] = None,
         platform: Optional[Platform] = None,
-        dispatcher: str = "ready-set",
         trace: str = "full",
         mode_schedules: Optional[ModeSchedule] = None,
         registry: Optional[RegistryLike] = None,
@@ -441,7 +440,6 @@ class Analysis:
             sink_start_times=sink_start_times,
             scheduler=scheduler,
             platform=platform,
-            dispatcher=dispatcher,
             trace_level=trace,
             time_base=time_base if time_base is not None else program.time_base,
             fast_forward=fast_forward,
@@ -455,7 +453,6 @@ class Analysis:
         horizon: Optional[RationalLike] = None,
         scheduler: Optional[SchedulerPolicy] = None,
         platform: Optional[Platform] = None,
-        dispatcher: str = "ready-set",
         trace: str = "full",
         mode_schedules: Optional[ModeSchedule] = None,
         registry: Optional[RegistryLike] = None,
@@ -507,7 +504,6 @@ class Analysis:
         simulation = self.simulation(
             scheduler=scheduler,
             platform=platform,
-            dispatcher=dispatcher,
             trace=trace,
             mode_schedules=mode_schedules,
             registry=registry,

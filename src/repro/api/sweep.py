@@ -6,10 +6,9 @@ parameter grid -- frequency scales, processor counts, rates, mode schedules
 reporting.  The three pieces:
 
 * :class:`Sweep` -- declares the grid.  Axes are split automatically:
-  *run axes* (``scheduler``, ``platform``, ``duration``, ``dispatcher``,
-  ``trace``, ``mode_schedules``, ``sink_start_times``, ``time_base``) only
-  affect execution, every other axis is a *program axis* that is forwarded
-  to :meth:`~repro.api.program.Program.from_app`.  Each **distinct** program
+  the *run axes* listed in :data:`RUN_AXES` only affect execution, every
+  other axis is a *program axis* that is forwarded to
+  :meth:`~repro.api.program.Program.from_app`.  Each **distinct** program
   parameter combination is compiled and analysed exactly once, no matter how
   many run-axis points fan out from it.  A ``platform`` axis sweeps
   :class:`~repro.platform.model.Platform` values (heterogeneous speedup
@@ -25,14 +24,13 @@ reporting.  The three pieces:
   the Fig. 4 speedup-vs-processors curve.
 
 Execution order is the grid's cartesian-product order and results are
-aggregated by point index, so serial execution and parallel workers produce
-the *same* report.  Two worker backends share that contract:
+aggregated by point index, so every backend produces the *same* report:
 
-* ``executor="thread"`` (the default): points share the compiled program
-  read-only, while every run builds its own simulation state (buffers,
-  tasks, registries via the program's factories) and stateful scheduler
-  policies are deep-copied per point.  Determinism-first, but GIL-bound --
-  CPU-heavy grids gain little wall-clock from extra threads.
+* ``executor="serial"`` (the default): the points run one after another in
+  the calling process, sharing the compiled program read-only; every run
+  builds its own simulation state (buffers, tasks, registries via the
+  program's factories) and stateful scheduler policies are deep-copied per
+  point.
 * ``executor="process"``: true multi-core execution.  The parent derives a
   picklable :class:`~repro.api.spec.ProgramSpec` per distinct program
   parameter combination and ships only specs + run parameters; each worker
@@ -41,10 +39,10 @@ the *same* report.  Two worker backends share that contract:
   initializer), runs its chunk of points, and sends flat metric rows back.
   Aggregation stays by point index, so the report is bit-identical to a
   serial run.  Anything the backend cannot ship degrades gracefully instead
-  of raising: an unpicklable *program* axis falls the whole sweep back to
-  the thread backend (the dedup keys would otherwise be unsound), an
+  of raising: an unpicklable *program* axis or runner re-runs the whole
+  sweep in the parent (the dedup keys would otherwise be unsound), an
   unpicklable *run* parameter or a crashed worker re-runs just those points
-  in the parent -- each with a warning recorded on the report
+  there -- each with a warning recorded on the report
   (:attr:`SweepReport.warnings`).  Pass ``strict=True`` to turn those
   degradations into :class:`~repro.api.spec.SweepConfigError`.
 
@@ -61,7 +59,7 @@ Example::
     report = (
         Sweep("pal_decoder", duration=Fraction(1, 10))
         .add_axis("scheduler", [BoundedProcessors(n) for n in (1, 2, 3, 4)])
-        .run(workers=2)
+        .run(executor="process", workers=2)
     )
     print(report.table())
 """
@@ -73,8 +71,7 @@ import itertools
 import json
 import math
 import pickle
-import threading
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -86,7 +83,20 @@ from repro.util.runwarnings import RunWarning, warning_code
 from repro.util.validation import check_positive
 
 #: Supported Sweep.run backends.
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
+
+
+def check_executor(executor: str, workers: int) -> None:
+    """Reject an unknown backend or a worker count it cannot use."""
+    check_positive(workers, "workers")
+    if executor not in EXECUTORS:
+        raise ValueError(f"unknown executor {executor!r}; choose from {EXECUTORS}")
+    if workers > 1 and executor != "process":
+        raise ValueError(
+            f"workers={workers} needs executor='process' "
+            f"(the {executor!r} backend runs one point at a time)"
+        )
+
 
 #: Axes that configure the *run*, not the program (no recompilation needed).
 RUN_AXES = (
@@ -94,7 +104,6 @@ RUN_AXES = (
     "platform",
     "duration",
     "horizon",
-    "dispatcher",
     "trace",
     "mode_schedules",
     "sink_start_times",
@@ -111,7 +120,7 @@ def _program_key(program_params: Mapping[str, Any], *, strict: bool = False) -> 
     arrays) would collapse distinct parameter values into one compiled
     program.  Pickle bytes compare by value for all picklable types;
     unpicklable axis values (lambdas, generators, open handles) must not
-    crash a thread-backend sweep, so they fall back to a ``repr``-based key.
+    crash a serial sweep, so they fall back to a ``repr``-based key.
     Default object reprs embed the instance id, so equal-valued unpicklable
     objects usually get distinct keys -- such axes may compile the same
     program redundantly, which is the safe direction.  (An unpicklable type
@@ -160,7 +169,7 @@ def _execute_point(
 
     The single definition of per-point semantics -- duration override,
     per-point scheduler deep copy (policies are stateful), metric-row
-    assembly -- shared by the serial/thread path and the process workers, so
+    assembly -- shared by the serial path and the process workers, so
     the backends cannot drift apart and break the identical-reports
     contract.
     """
@@ -271,8 +280,8 @@ class SweepReport:
     ) -> None:
         self.name = name
         self.results = list(results)
-        #: execution-backend degradations (thread fallback for unpicklable
-        #: axes, in-parent re-runs after worker crashes); the *rows* are
+        #: execution-backend degradations (in-parent re-runs for unpicklable
+        #: values or after worker crashes); the *rows* are
         #: unaffected -- fallbacks preserve serial-identical metrics -- so
         #: warnings live beside the results, not inside them
         self.warnings: List[str] = list(warnings)
@@ -621,8 +630,8 @@ class Sweep:
     def _check_program_source(self, program_params: Mapping[str, Any]) -> None:
         """Reject grids this sweep cannot build programs for.
 
-        One definition of the two misconfiguration errors, so the serial,
-        thread and process backends report identical messages.
+        One definition of the two misconfiguration errors, so the serial
+        and process backends report identical messages.
         """
         if self._program is not None:
             if program_params:
@@ -668,7 +677,7 @@ class Sweep:
         self,
         *,
         workers: int = 1,
-        executor: str = "thread",
+        executor: str = "serial",
         keep_runs: bool = True,
         strict: bool = False,
         store: Any = None,
@@ -676,24 +685,24 @@ class Sweep:
     ) -> SweepReport:
         """Execute every grid point and aggregate a :class:`SweepReport`.
 
-        ``executor`` selects the worker backend: ``"thread"`` (the default)
-        fans the points out over a thread pool when ``workers > 1`` --
-        deterministic and cheap, but GIL-bound; ``"process"`` over a process
-        pool for true multi-core execution (each worker rebuilds and
-        compiles each distinct program at most once from its picklable
+        ``executor`` selects the backend: ``"serial"`` (the default) runs
+        the points one after another in this process; ``"process"`` fans
+        them out over a pool of *workers* processes for true multi-core
+        execution (each worker rebuilds and compiles each distinct program
+        at most once from its picklable
         :class:`~repro.api.spec.ProgramSpec`), taken at *any* worker count
-        so its contract does not vary with ``workers``; ``"serial"`` forces
-        the in-thread loop regardless of *workers*.  Results are aggregated
-        by point index under every backend, so the report rows are identical
-        to a serial run.
+        so its contract does not vary with ``workers``.  ``workers > 1``
+        requires ``executor="process"``.  Results are aggregated by point
+        index under both backends, so the report rows are identical to a
+        serial run.
 
         The process backend degrades rather than raises when something
-        cannot be shipped: unpicklable program axes fall the whole sweep
-        back to threads, unpicklable run parameters or crashed workers
-        re-run just those points in the parent -- each recorded in
+        cannot be shipped: unpicklable program axes or runners re-run the
+        whole sweep in the parent, unpicklable run parameters or crashed
+        workers re-run just those points there -- each recorded in
         :attr:`SweepReport.warnings`.  ``strict=True`` turns those
         degradations into :class:`~repro.api.spec.SweepConfigError`; on the
-        serial/thread backends it likewise refuses the repr-based dedup-key
+        serial backend it likewise refuses the repr-based dedup-key
         fallback for unpicklable program-axis values (which may otherwise
         compile one program redundantly) instead of being silently ignored.
 
@@ -704,7 +713,7 @@ class Sweep:
         point count.  Tables, JSON and speedup curves only need the metrics.
         The process backend implies it: simulations stay in the workers and
         only metric rows travel back, so its results always have
-        ``run=None``.
+        ``run=None`` (in-parent fallback points included).
 
         ``store`` (a :class:`~repro.service.store.ResultStore` or a
         directory path) and ``checkpoint`` (a JSONL file path) engage the
@@ -716,9 +725,7 @@ class Sweep:
         :attr:`SweepReport.service_stats` records how many points were
         executed vs served.  See :mod:`repro.service`.
         """
-        check_positive(workers, "workers")
-        if executor not in EXECUTORS:
-            raise ValueError(f"unknown executor {executor!r}; choose from {EXECUTORS}")
+        check_executor(executor, workers)
         declared = set(self.axes) | set(self.base)
         if {"scheduler", "platform"} <= declared:
             # Analysis.run accepts one or the other; without this check every
@@ -767,8 +774,7 @@ class Sweep:
         of a grid, with their original positions), results come back in the
         given order alongside the backend's degradation warnings, and
         ``on_result`` fires exactly once per point as it completes -- the
-        checkpoint-append hook, called under a lock on the thread backend
-        and from the parent process on the process backend.
+        checkpoint-append hook, always called from this process.
         """
         if executor == "process":
             # Even with workers=1 the process path is taken: the backend's
@@ -777,46 +783,28 @@ class Sweep:
             return self._run_process(
                 indexed_points, workers, strict=strict, on_result=on_result
             )
-        if self._runner is None:
-            analyses = self._analyses(
-                [params for _, params in indexed_points], strict=strict
-            )
-        else:
-            analyses = {}
-        if executor == "serial" or workers == 1 or len(indexed_points) <= 1:
-            results = []
-            for index, params in indexed_points:
-                result = self._run_point(index, params, analyses, keep_runs)
-                if on_result is not None:
-                    on_result(result)
-                results.append(result)
-        else:
-            results = self._run_threads(
-                indexed_points, workers, analyses, keep_runs, on_result
-            )
-        return results, []
+        return self._run_serial(indexed_points, keep_runs, on_result, strict=strict), []
 
-    def _run_threads(
+    def _run_serial(
         self,
         indexed_points: Sequence[Tuple[int, Dict[str, Any]]],
-        workers: int,
-        analyses: Dict[Tuple, Analysis],
         keep_runs: bool,
         on_result: Optional[Callable[[SweepResult], None]] = None,
+        *,
+        strict: bool = False,
     ) -> List[SweepResult]:
-        lock = threading.Lock()
-
-        def execute(item: Tuple[int, Dict[str, Any]]) -> SweepResult:
-            result = self._run_point(item[0], item[1], analyses, keep_runs)
+        """Run the points one after another in this process."""
+        if self._runner is None:
+            analyses = self._analyses([params for _, params in indexed_points], strict=strict)
+        else:
+            analyses = {}
+        results = []
+        for index, params in indexed_points:
+            result = self._run_point(index, params, analyses, keep_runs)
             if on_result is not None:
-                # checkpoint/store writers are plain appenders, not
-                # thread-safe objects -- serialise the callback
-                with lock:
-                    on_result(result)
-            return result
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(execute, indexed_points))
+                on_result(result)
+            results.append(result)
+        return results
 
     # ------------------------------------------------------- process backend
     def _spec_for(self, program_params: Dict[str, Any]) -> ProgramSpec:
@@ -838,22 +826,15 @@ class Sweep:
         warnings: List[str] = []
         params_by_index = dict(indexed_points)
 
-        def degrade_to_threads(
+        def degrade_to_parent(
             reason: str, error: Exception
         ) -> Tuple[List[SweepResult], List[str]]:
             if strict:
                 if isinstance(error, SweepConfigError):
                     raise error
                 raise SweepConfigError(reason) from error
-            warnings.append(f"{reason}; falling back to the thread executor")
-            if self._runner is None:
-                analyses = self._analyses([params for _, params in indexed_points])
-            else:
-                analyses = {}
-            results = self._run_threads(
-                indexed_points, workers, analyses, keep_runs=False, on_result=on_result
-            )
-            return results, warnings
+            warnings.append(f"{reason}; running every point in-process")
+            return self._run_serial(indexed_points, keep_runs=False, on_result=on_result), warnings
 
         # -- 1. shared state must be picklable: specs (or the runner).  An
         # unsound dedup key / unshippable program degrades the whole sweep.
@@ -867,7 +848,7 @@ class Sweep:
             try:
                 pickle.dumps(self._runner)
             except Exception as error:
-                return degrade_to_threads(
+                return degrade_to_parent(
                     f"sweep runner {self._runner!r} is not picklable "
                     f"({type(error).__name__}: {error})",
                     error,
@@ -886,7 +867,7 @@ class Sweep:
                         specs[spec_ids[key]] = spec
                     spec_id_by_index[index] = spec_ids[key]
             except SweepConfigError as error:
-                return degrade_to_threads(str(error), error)
+                return degrade_to_parent(str(error), error)
 
         # -- 2. per-point run parameters: a point the backend cannot ship
         # (an unpicklable scheduler key, a custom trace sink, ...) runs in
@@ -1011,14 +992,7 @@ class Sweep:
         # -- 4. in-parent fallback for whatever could not be shipped, then
         # assembly in the caller's order.
         if local_indices:
-            local_indices.sort()
-            local_points = [params_by_index[index] for index in local_indices]
-            analyses = self._analyses(local_points) if self._runner is None else {}
-            for index in local_indices:
-                result = self._run_point(
-                    index, params_by_index[index], analyses, keep_runs=False
-                )
-                outcomes[index] = result
-                if on_result is not None:
-                    on_result(result)
+            local_points = [(index, params_by_index[index]) for index in sorted(local_indices)]
+            for result in self._run_serial(local_points, keep_runs=False, on_result=on_result):
+                outcomes[result.index] = result
         return [outcomes[index] for index, _ in indexed_points], warnings

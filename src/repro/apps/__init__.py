@@ -10,8 +10,8 @@
 All applications are registered with the :mod:`repro.api` facade: build them
 with ``Program.from_app("pal_decoder" | "rate_converter" | "modal_mute" |
 "modal_two_mode" | "quickstart", **params)``.  The ``*_program`` builders
-exported here are those registry entries; the older ``compile_*`` /
-``simulate_*`` helpers are deprecated aliases kept for compatibility.
+exported here are those registry entries; the ``compile_*`` helpers return
+the bare compilation (no buffer sizing) for tests and benchmarks.
 """
 
 from repro.apps.pal_decoder import (
@@ -46,19 +46,15 @@ from repro.apps.modal_audio import (
     mute_program,
     mute_registry,
     mute_wcets,
-    simulate_mute,
-    simulate_two_mode,
     two_mode_program,
     two_mode_registry,
     two_mode_wcets,
 )
 from repro.apps.producer_consumer import (
     QUICKSTART_OIL_SOURCE,
-    compile_quickstart,
     quickstart_program,
     quickstart_registry,
     quickstart_wcets,
-    simulate_quickstart,
 )
 
 __all__ = [
@@ -91,13 +87,9 @@ __all__ = [
     "compile_two_mode",
     "mute_registry",
     "mute_wcets",
-    "simulate_mute",
-    "simulate_two_mode",
     "two_mode_registry",
     "two_mode_wcets",
     "QUICKSTART_OIL_SOURCE",
-    "compile_quickstart",
     "quickstart_registry",
     "quickstart_wcets",
-    "simulate_quickstart",
 ]

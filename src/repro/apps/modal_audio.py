@@ -27,13 +27,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.compiler import CompilationResult, compile_program
-from repro.cta.buffer_sizing import BufferSizingResult
 from repro.runtime.functions import FunctionRegistry
-from repro.runtime.simulator import Simulation
 from repro.runtime.sources import PeriodicStimulus, Stimulus
-from repro.runtime.trace import TraceRecorder
-from repro.util.deprecation import warn_deprecated
-from repro.util.rational import Rat
 
 #: Default mode schedule of the two-mode application (calibrate 3, process 5).
 DEFAULT_TWO_MODE_SCHEDULE: Tuple[Tuple[str, int], ...] = (("loop0", 3), ("loop1", 5))
@@ -136,28 +131,6 @@ def compile_mute() -> CompilationResult:
     return compile_program(MUTE_OIL_SOURCE, function_wcets=mute_wcets())
 
 
-def simulate_mute(
-    duration: Rat,
-    signal: Sequence[float],
-    *,
-    result: Optional[CompilationResult] = None,
-    sizing: Optional[BufferSizingResult] = None,
-) -> Tuple[Simulation, TraceRecorder]:
-    """Deprecated: use ``Program.from_app("modal_mute", signal=...)`` (facade)."""
-    from repro.api.program import Analysis
-
-    warn_deprecated(
-        "simulate_mute()", 'repro.api.Program.from_app("modal_mute").analyze().run(...)'
-    )
-    program = mute_program(signal=signal)
-    if result is not None:
-        analysis = Analysis(program, result, sizing=sizing)
-    else:
-        analysis = program.analyze()
-    run = analysis.run(duration)
-    return run.simulation, run.trace
-
-
 # --------------------------------------------------------------------------
 # Application 2: two while-loop modes (Fig. 3 / Fig. 9 pattern)
 # --------------------------------------------------------------------------
@@ -242,32 +215,3 @@ def two_mode_program(
 
 def compile_two_mode() -> CompilationResult:
     return compile_program(TWO_MODE_OIL_SOURCE, function_wcets=two_mode_wcets())
-
-
-def simulate_two_mode(
-    duration: Rat,
-    *,
-    mode_schedule: Sequence[Tuple[str, int]] = DEFAULT_TWO_MODE_SCHEDULE,
-    signal: Optional[Sequence[float]] = None,
-    result: Optional[CompilationResult] = None,
-    sizing: Optional[BufferSizingResult] = None,
-    scheduler=None,
-    dispatcher: str = "ready-set",
-    trace_level: str = "full",
-) -> Tuple[Simulation, TraceRecorder]:
-    """Deprecated: use ``Program.from_app("modal_two_mode", ...)`` (facade)."""
-    from repro.api.program import Analysis
-
-    warn_deprecated(
-        "simulate_two_mode()",
-        'repro.api.Program.from_app("modal_two_mode").analyze().run(...)',
-    )
-    program = two_mode_program(signal=signal, mode_schedule=mode_schedule)
-    if result is not None:
-        analysis = Analysis(program, result, sizing=sizing)
-    else:
-        analysis = program.analyze()
-    run = analysis.run(
-        duration, scheduler=scheduler, dispatcher=dispatcher, trace=trace_level
-    )
-    return run.simulation, run.trace

@@ -760,35 +760,11 @@ def run_tasks(
     engine.schedule_dispatch()
     warnings: List[str] = []
     if fast_forward == "auto":
-        from repro.util.runwarnings import RunWarning
+        from repro.runtime.functions import qualify_functions
 
-        specs = {}
-        qualified = True
-        undeclared: List[str] = []
-        for task in tasks:
-            for name in task.function_names():
-                if name in specs:
-                    continue
-                try:
-                    spec = task.registry.get(name)
-                except KeyError:
-                    # A synthetic fleet whose fallback name is unregistered:
-                    # nothing to declare on, fall back silently.
-                    qualified = False
-                    continue
-                specs[name] = spec
-                if not spec.jump_exact:
-                    qualified = False
-                    undeclared.append(name)
-        if undeclared:
-            warnings.append(
-                RunWarning(
-                    "fast-forward (auto) fell back to naive execution: "
-                    f"function(s) {', '.join(sorted(undeclared))} declare no "
-                    "jump behaviour (stateless, jump_invariant or get_state)",
-                    "undeclared-function",
-                )
-            )
+        qualified, specs, warning = qualify_functions(tasks)
+        if warning is not None:
+            warnings.append(warning)
         if qualified:
             # Value periods are multiples of the timing period, so the
             # value-exact detector gets a larger state budget; refusals are

@@ -30,9 +30,10 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.util.rational import Rat, RationalLike, as_rational
+from repro.util.runwarnings import RunWarning
 
 
 @dataclass
@@ -197,6 +198,45 @@ class FunctionRegistry:
         except Exception:  # pragma: no cover - numpy always available here
             pass
         return first == second
+
+
+def qualify_functions(
+    tasks: Iterable[Any],
+) -> Tuple[bool, Dict[str, FunctionSpec], Optional[RunWarning]]:
+    """Qualify the functions a task fleet invokes for value-exact
+    fast-forward: ``(qualified, specs, warning)``.
+
+    Qualified means every function each task can invoke declares jump-exact
+    behaviour.  An undeclared function disqualifies the fleet with an
+    ``undeclared-function`` warning; a name nobody registered (a synthetic
+    fleet's fallback) disqualifies it silently -- there is nothing to
+    declare on.
+    """
+    specs: Dict[str, FunctionSpec] = {}
+    qualified = True
+    undeclared: List[str] = []
+    for task in tasks:
+        for name in task.function_names():
+            if name in specs:
+                continue
+            try:
+                spec = task.registry.get(name)
+            except KeyError:
+                qualified = False
+                continue
+            specs[name] = spec
+            if not spec.jump_exact:
+                qualified = False
+                undeclared.append(name)
+    warning = None
+    if undeclared:
+        warning = RunWarning(
+            "fast-forward (auto) fell back to naive execution: "
+            f"function(s) {', '.join(sorted(undeclared))} declare no "
+            "jump behaviour (stateless, jump_invariant or get_state)",
+            "undeclared-function",
+        )
+    return qualified, specs, warning
 
 
 def default_registry(extra: Optional[Mapping[str, Callable[..., Any]]] = None) -> FunctionRegistry:

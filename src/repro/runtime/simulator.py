@@ -34,7 +34,7 @@ from repro.graph.taskgraph import Access, Task, TaskGraph
 from repro.lang import ast
 from repro.lang.semantics import BlackBoxModule
 from repro.runtime.events import EventQueue
-from repro.runtime.functions import FunctionRegistry, FunctionSpec
+from repro.runtime.functions import FunctionRegistry, FunctionSpec, qualify_functions
 from repro.runtime.sources import SinkDriver, SourceDriver, Stimulus
 from repro.runtime.tasks import OilRuntimeError, RuntimeTask
 from repro.runtime.trace import TraceRecorder
@@ -711,22 +711,8 @@ class Simulation:
                 undeclared_sources.append(name)
             elif not stimulus.value_periodic:
                 qualified = False
-        specs: Dict[str, FunctionSpec] = {}
-        undeclared_functions: List[str] = []
-        for task in self.engine.tasks:
-            for fname in task.function_names():
-                if fname in specs:
-                    continue
-                try:
-                    spec = self.registry.get(fname)
-                except KeyError:
-                    qualified = False
-                    continue
-                specs[fname] = spec
-                if not spec.jump_exact:
-                    qualified = False
-                    if fname not in undeclared_functions:
-                        undeclared_functions.append(fname)
+        functions_qualified, specs, function_warning = qualify_functions(self.engine.tasks)
+        qualified = qualified and functions_qualified
         if undeclared_sources:
             self._warnings.append(
                 RunWarning(
@@ -737,16 +723,8 @@ class Simulation:
                     "undeclared-source",
                 )
             )
-        if undeclared_functions:
-            self._warnings.append(
-                RunWarning(
-                    "fast-forward (auto) fell back to naive execution: "
-                    f"function(s) {', '.join(sorted(undeclared_functions))} "
-                    "declare no jump behaviour (stateless, jump_invariant or "
-                    "get_state)",
-                    "undeclared-function",
-                )
-            )
+        if function_warning is not None:
+            self._warnings.append(function_warning)
         return qualified, specs
 
     def _install_fast_forward(self, horizon: Rat) -> None:

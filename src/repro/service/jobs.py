@@ -36,7 +36,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.api.sweep import Sweep, SweepReport
+from repro.api.sweep import Sweep, SweepReport, check_executor
 
 JOB_STATES = ("queued", "running", "done", "failed")
 
@@ -88,7 +88,12 @@ class JobQueue:
         executor: str = "serial",
         workers: int = 1,
     ) -> str:
-        """Enqueue *sweep*; returns the job id (the work runs via :meth:`run`)."""
+        """Enqueue *sweep*; returns the job id (the work runs via :meth:`run`).
+
+        The backend is validated here, so a misconfigured job is refused
+        before it is spooled instead of failing only when it runs.
+        """
+        check_executor(executor, workers)
         job_id = self._fresh_id()
         path = self.jobs_dir / job_id
         path.mkdir()

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.spec import ProgramSpec
-from repro.api.sweep import Sweep, SweepReport, SweepResult
+from repro.api.sweep import Sweep, SweepReport, SweepResult, check_executor
 from repro.service.checkpoint import CheckpointMismatchError, read_checkpoint
 from repro.service.runner import run_service_sweep
 from repro.service.store import grid_digest
@@ -130,6 +130,7 @@ def run_shard(
     The returned report holds only this shard's rows; the full report comes
     from :func:`merge` over all shard checkpoints.
     """
+    check_executor(executor, workers)
     sweep = spec.sweep()
     points = sweep.points()
     if grid_digest(sweep, points) != spec.grid:

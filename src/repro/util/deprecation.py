@@ -1,11 +1,11 @@
-"""Deprecation warnings for the pre-facade helper functions.
+"""Deprecation warnings for legacy call spellings.
 
-The per-app ``compile_*`` / ``simulate_*`` helpers predate :mod:`repro.api`
-and are kept as thin aliases so existing code keeps working; new code should
-go through the facade.  :func:`warn_deprecated` emits the standard
-``DeprecationWarning`` pointing at the replacement (visible under ``python
--W default`` and in pytest runs, silent by default in applications -- the
-usual Python deprecation contract).
+:func:`warn_deprecated` emits the standard ``DeprecationWarning`` pointing at
+the replacement (visible under ``python -W default`` and in pytest runs,
+silent by default in applications -- the usual Python deprecation
+contract).  Its one caller is the bare-iterator source signal in
+:func:`repro.runtime.sources.as_stimulus`, which also records the
+``undeclared-source`` run warning.
 """
 
 from __future__ import annotations

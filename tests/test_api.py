@@ -1,6 +1,6 @@
 """Tests for the repro.api facade: Program -> Analysis -> RunResult, the app
-catalogue, the Sweep subsystem (thread and process backends, ProgramSpec
-shipping) and the deprecated pre-facade aliases."""
+catalogue and the Sweep subsystem (serial and process backends, ProgramSpec
+shipping, the in-parent fallbacks)."""
 
 import os
 import pickle
@@ -18,7 +18,7 @@ from repro.api import (
     available_apps,
     build_app,
 )
-from repro.api.sweep import SweepReport, SweepResult
+from repro.api.sweep import EXECUTORS, RUN_AXES, SweepReport, SweepResult
 from repro.apps.producer_consumer import (
     QUICKSTART_OIL_SOURCE,
     quickstart_registry,
@@ -154,6 +154,17 @@ class TestAnalysisParity:
         assert "buffer sizing" in report
         assert "latency" in report
 
+    def test_facade_has_no_dispatcher_knob(self):
+        # The polling dispatcher is the engine-level test oracle
+        # (Simulation(dispatcher=), run_tasks(mode=)); the facade and the
+        # sweep run axes expose only the ready-set loop.
+        analysis = quickstart_facade().analyze()
+        with pytest.raises(TypeError, match="dispatcher"):
+            analysis.run(Fraction(1, 100), dispatcher="polling")
+        with pytest.raises(TypeError, match="dispatcher"):
+            analysis.simulation(dispatcher="polling")
+        assert "dispatcher" not in RUN_AXES
+
 
 class TestProgramSpec:
     """The picklable rebuild recipes behind the process sweep backend."""
@@ -251,24 +262,29 @@ class TestProcessSweep:
         )
 
     def test_process_vs_thread_vs_serial_reports_identical(self):
+        # The thread backend is gone (GIL-bound, never faster than serial);
+        # serial and process are the two backends and must agree exactly.
         serial = self.build_quickstart_grid().run(workers=1)
-        threaded = self.build_quickstart_grid().run(executor="thread", workers=3)
         process = self.build_quickstart_grid().run(executor="process", workers=2)
-        assert serial.ok and threaded.ok and process.ok, [
-            failure.error for failure in process.failures
-        ]
+        assert serial.ok and process.ok, [failure.error for failure in process.failures]
         assert not process.warnings
-        assert serial.rows() == threaded.rows() == process.rows()
-        assert (
-            serial.speedup_table() == threaded.speedup_table() == process.speedup_table()
-        )
+        assert serial.rows() == process.rows()
+        assert serial.speedup_table() == process.speedup_table()
         assert serial.to_json() == process.to_json()
         # simulations stay in the workers: process results carry no RunResult
         assert all(result.run is None for result in process.results)
 
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            Sweep("quickstart").run(executor="rocket")
+        assert EXECUTORS == ("serial", "process")
+        for executor in ("rocket", "thread"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                Sweep("quickstart").run(executor=executor)
+
+    def test_workers_require_process_executor(self):
+        with pytest.raises(ValueError, match="executor='process'"):
+            Sweep("quickstart").run(workers=2)
+        with pytest.raises(ValueError, match="executor='process'"):
+            Sweep("quickstart").run(executor="serial", workers=2)
 
     def test_unpicklable_program_axis_falls_back_to_threads(self):
         sweep = (
@@ -279,8 +295,13 @@ class TestProcessSweep:
         report = sweep.run(executor="process", workers=2)
         assert report.ok, [failure.error for failure in report.failures]
         assert len(report) == 2
-        assert any("thread executor" in warning for warning in report.warnings)
-        assert any("'signal'" in warning for warning in report.warnings)
+        # the whole sweep re-ran in the parent, like any process-backend
+        # point: metric rows only
+        assert any(
+            "'signal'" in warning and "running every point in-process" in warning
+            for warning in report.warnings
+        )
+        assert all(result.run is None for result in report.results)
 
     def test_strict_mode_raises_naming_the_axis(self):
         sweep = (
@@ -301,8 +322,6 @@ class TestProcessSweep:
 
         with pytest.raises(SweepConfigError, match="'signal'"):
             build().run(strict=True)
-        with pytest.raises(SweepConfigError, match="'signal'"):
-            build().run(executor="thread", workers=2, strict=True)
 
     def test_unpicklable_run_param_degrades_that_point_only(self):
         class LocalPolicy(SelfTimedUnbounded):
@@ -345,7 +364,10 @@ class TestProcessSweep:
             .run(executor="process", workers=2)
         )
         assert report.ok
-        assert any("not picklable" in warning for warning in report.warnings)
+        assert any(
+            "not picklable" in warning and "running every point in-process" in warning
+            for warning in report.warnings
+        )
         assert report.column("value") == [1, 2, 3]
 
     def test_worker_crash_reruns_points_in_parent(self):
@@ -418,7 +440,7 @@ class TestSweep:
             )
 
         serial = build().run(workers=1)
-        parallel = build().run(workers=3)
+        parallel = build().run(executor="process", workers=2)
         assert serial.ok and parallel.ok
         assert serial.rows() == parallel.rows()
         assert serial.speedup_table() == parallel.speedup_table()
@@ -428,7 +450,7 @@ class TestSweep:
         report = (
             Sweep("quickstart", duration=Fraction(1, 10))
             .add_axis("scheduler", [BoundedProcessors(1), BoundedProcessors(2)])
-            .run(workers=2)
+            .run()
         )
         table = report.table()
         assert "BoundedProcessors(1)" in table and "BoundedProcessors(2)" in table
@@ -519,7 +541,7 @@ class TestSweep:
                 raise ValueError("boom")
             return {"value": n * n}
 
-        report = Sweep.from_callable(point).add_axis("n", [1, 2, 3]).run(workers=2)
+        report = Sweep.from_callable(point).add_axis("n", [1, 2, 3]).run()
         assert not report.ok
         assert [r.ok for r in report.results] == [True, False, True]
         assert report.results[1].error == "ValueError: boom"
@@ -530,7 +552,7 @@ class TestSweep:
         report = (
             Sweep("quickstart", duration=Fraction(1, 50))
             .add_axis("scheduler", [policy, policy])
-            .run(workers=2)
+            .run()
         )
         assert report.ok
         assert policy.busy == 0  # the caller's instance was never mutated
@@ -632,7 +654,8 @@ class TestWarningsPropagation:
         )
         report = sweep.run(executor="process", workers=2)
         assert report.ok, [failure.error for failure in report.failures]
-        assert any("thread executor" in w for w in report.warnings)
+        assert any("running every point in-process" in w for w in report.warnings)
+        assert all(result.run is None for result in report.results)
         assert any("integer-tick" in w for w in report.warnings)
         # the run warning also stays inside the point's metric row
         assert any(
@@ -670,41 +693,8 @@ class TestWarningsPropagation:
 
 
 class TestDeprecatedAliases:
-    def test_compile_quickstart_warns_and_works(self):
-        from repro.apps.producer_consumer import compile_quickstart
-
-        with pytest.warns(DeprecationWarning, match="compile_quickstart"):
-            result = compile_quickstart()
-        assert result.check_consistency(assume_infinite_unsized=True).consistent
-
-    def test_simulate_quickstart_matches_facade(self):
-        from repro.apps.producer_consumer import simulate_quickstart
-
-        with pytest.warns(DeprecationWarning, match="simulate_quickstart"):
-            simulation, trace = simulate_quickstart(Fraction(1, 10))
-        run = quickstart_facade().analyze().run(Fraction(1, 10))
-        assert simulation.sinks["averages"].consumed == run.sink("averages")
-        assert trace.deadline_miss_count() == run.deadline_misses
-
-    def test_simulate_mute_warns(self):
-        from repro.apps.modal_audio import simulate_mute
-
-        with pytest.warns(DeprecationWarning, match="simulate_mute"):
-            simulation, trace = simulate_mute(Fraction(1, 50), [1.0] * 2000)
-        assert trace.deadline_miss_count() == 0
-
-    def test_simulate_two_mode_warns_and_matches_facade(self):
-        from repro.apps.modal_audio import simulate_two_mode
-
-        schedule = (("loop0", 2), ("loop1", 3))
-        with pytest.warns(DeprecationWarning, match="simulate_two_mode"):
-            simulation, _ = simulate_two_mode(Fraction(1, 25), mode_schedule=schedule)
-        run = (
-            Program.from_app("modal_two_mode", mode_schedule=schedule)
-            .analyze()
-            .run(Fraction(1, 25))
-        )
-        assert simulation.sinks["dac"].consumed == run.sink("dac")
+    """What is left of the pre-facade entry points: wrapping precompiled
+    lower-level results (the per-app ``simulate_*`` aliases are gone)."""
 
     def test_analysis_from_parts_wraps_precompiled_results(self, quickstart_sized):
         result, sizing = quickstart_sized

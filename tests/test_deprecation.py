@@ -1,22 +1,20 @@
-"""Every deprecated pre-facade helper must emit a ``DeprecationWarning``
-naming its facade replacement.
+"""Every deprecated spelling must emit a ``DeprecationWarning`` naming its
+replacement.
 
-The aliases are kept so pre-``repro.api`` code keeps working; the warning --
-with the *correct* replacement spelled out -- is the only signpost users get,
-so each call site of :func:`repro.util.deprecation.warn_deprecated` is pinned
-here (the messages were previously untested and a renamed facade entry point
-could silently point users at nothing).
+The warning -- with the *correct* replacement spelled out -- is the only
+signpost users get, so each call site of
+:func:`repro.util.deprecation.warn_deprecated` is pinned here.  The one left
+is the bare-iterator source signal; the pre-facade per-app helpers are gone.
 """
 
 import re
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from repro.apps.modal_audio import simulate_mute, simulate_two_mode
-from repro.apps.pal_decoder import PalDecoderApp
-from repro.apps.producer_consumer import compile_quickstart, simulate_quickstart
+import repro
 from repro.util.deprecation import warn_deprecated
 
 
@@ -37,54 +35,15 @@ class TestWarnDeprecated:
         ):
             warn_deprecated("old_helper()", "repro.api.New", stacklevel=2)
 
-
-class TestQuickstartAliases:
-    def test_compile_quickstart_warns_with_replacement(self):
-        with warnings.catch_warnings(record=True) as recorded:
-            warnings.simplefilter("always")
-            compile_quickstart()
-        assert_single_deprecation(
-            recorded, "compile_quickstart()", 'repro.api.Program.from_app("quickstart")'
+    def test_only_call_site_is_the_bare_iterator_signal(self):
+        package = Path(repro.__file__).parent
+        callers = sorted(
+            path.relative_to(package).as_posix()
+            for path in package.rglob("*.py")
+            if "warn_deprecated(" in path.read_text(encoding="utf-8")
+            and path.name != "deprecation.py"
         )
-
-    def test_simulate_quickstart_warns_with_replacement(self, quickstart_sized):
-        result, sizing = quickstart_sized
-        with warnings.catch_warnings(record=True) as recorded:
-            warnings.simplefilter("always")
-            simulation, trace = simulate_quickstart(
-                Fraction(1, 100), result=result, sizing=sizing
-            )
-        assert_single_deprecation(
-            recorded,
-            "simulate_quickstart()",
-            'repro.api.Program.from_app("quickstart").analyze().run(...)',
-        )
-        assert len(trace.firings) > 0  # the alias still actually works
-
-
-class TestModalAliases:
-    def test_simulate_mute_warns_with_replacement(self, mute_sized):
-        result, sizing = mute_sized
-        signal = [0.5] * 64
-        with warnings.catch_warnings(record=True) as recorded:
-            warnings.simplefilter("always")
-            simulate_mute(Fraction(1, 100), signal, result=result, sizing=sizing)
-        assert_single_deprecation(
-            recorded,
-            "simulate_mute()",
-            'repro.api.Program.from_app("modal_mute").analyze().run(...)',
-        )
-
-    def test_simulate_two_mode_warns_with_replacement(self, two_mode_sized):
-        result, sizing = two_mode_sized
-        with warnings.catch_warnings(record=True) as recorded:
-            warnings.simplefilter("always")
-            simulate_two_mode(Fraction(1, 100), result=result, sizing=sizing)
-        assert_single_deprecation(
-            recorded,
-            "simulate_two_mode()",
-            'repro.api.Program.from_app("modal_two_mode").analyze().run(...)',
-        )
+        assert callers == ["runtime/sources.py"]
 
 
 class TestBareIteratorSignals:
@@ -113,29 +72,4 @@ class TestBareIteratorSignals:
             recorded,
             "a bare-Iterator source signal",
             "repro.runtime.sources.GeneratorStimulus",
-        )
-
-
-class TestPalDecoderAliases:
-    def test_analyze_warns_with_replacement(self, pal_app):
-        with warnings.catch_warnings(record=True) as recorded:
-            warnings.simplefilter("always")
-            result, sizing = pal_app.analyze()
-        assert_single_deprecation(
-            recorded,
-            "PalDecoderApp.analyze()",
-            'repro.api.Program.from_app("pal_decoder").analyze()',
-        )
-        assert sizing.capacities  # the alias still returns real results
-
-    def test_simulate_warns_with_replacement(self, pal_sized):
-        result, sizing = pal_sized
-        app = PalDecoderApp(scale=1000)
-        with warnings.catch_warnings(record=True) as recorded:
-            warnings.simplefilter("always")
-            app.simulate(Fraction(1, 100), result=result, sizing=sizing)
-        assert_single_deprecation(
-            recorded,
-            "PalDecoderApp.simulate()",
-            'repro.api.Program.from_app("pal_decoder").analyze().run(...)',
         )

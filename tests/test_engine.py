@@ -12,9 +12,10 @@ from fractions import Fraction
 
 import pytest
 
-from repro.apps.modal_audio import simulate_two_mode, two_mode_registry
+from repro.api import Analysis
+from repro.apps.modal_audio import two_mode_program, two_mode_registry
 from repro.apps.pal_decoder import PalDecoderApp
-from repro.apps.producer_consumer import quickstart_registry, simulate_quickstart
+from repro.apps.producer_consumer import quickstart_program, quickstart_registry
 from repro.apps.rate_converter import fig2_task_graph
 from repro.baselines.sequential_schedule import (
     generate_sequential_program,
@@ -46,6 +47,22 @@ def assert_traces_identical(a, b):
     assert a.endpoint_events == b.endpoint_events
     assert a.violations == b.violations
     assert a.buffer_high_water == b.buffer_high_water
+
+
+def dispatcher_trace(program, compiled, dispatcher, duration):
+    """Run *program* on the engine-level *dispatcher* with the analysed
+    capacities: the polling oracle is selectable only on a Simulation, not
+    through the facade."""
+    result, sizing = compiled
+    simulation = Simulation(
+        result,
+        program.make_registry(),
+        source_signals=program.make_signals(),
+        capacities=sizing.capacities,
+        mode_schedules=program.mode_schedules,
+        dispatcher=dispatcher,
+    )
+    return simulation.run(duration)
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +190,8 @@ class TestBufferCaching:
 
 class TestDispatcherEquivalence:
     def test_quickstart_traces_identical(self, quickstart_sized):
-        result, sizing = quickstart_sized
         traces = [
-            simulate_quickstart(
-                Fraction(1, 5), result=result, sizing=sizing, dispatcher=mode
-            )[1]
+            dispatcher_trace(quickstart_program(), quickstart_sized, mode, Fraction(1, 5))
             for mode in ("polling", "ready-set")
         ]
         assert len(traces[0].firings) > 100
@@ -193,12 +207,9 @@ class TestDispatcherEquivalence:
         assert_traces_identical(a.trace, b.trace)
 
     def test_pal_decoder_traces_identical(self, pal_sized):
-        result, sizing = pal_sized
-        app = PalDecoderApp(scale=1000)
+        program = PalDecoderApp(scale=1000).program()
         traces = [
-            app.simulate(
-                Fraction(1, 20), result=result, sizing=sizing, dispatcher=mode
-            )[1]
+            dispatcher_trace(program, pal_sized, mode, Fraction(1, 20))
             for mode in ("polling", "ready-set")
         ]
         assert len(traces[0].firings) > 500
@@ -208,11 +219,8 @@ class TestDispatcherEquivalence:
         # Mode switches (de)activate whole loops: the ready-set dispatcher
         # must re-examine tasks whose eligibility changed without any buffer
         # floor moving.
-        result, sizing = two_mode_sized
         traces = [
-            simulate_two_mode(
-                Fraction(1, 5), result=result, sizing=sizing, dispatcher=mode
-            )[1]
+            dispatcher_trace(two_mode_program(), two_mode_sized, mode, Fraction(1, 5))
             for mode in ("polling", "ready-set")
         ]
         assert len(traces[0].firings) > 100
@@ -529,9 +537,9 @@ class TestDriverStartIdempotence:
 class TestTraceLevels:
     def test_off_records_nothing(self, quickstart_sized):
         result, sizing = quickstart_sized
-        simulation, trace = simulate_quickstart(
-            Fraction(1, 20), result=result, sizing=sizing, trace_level="off"
-        )
+        analysis = Analysis(quickstart_program(), result, sizing=sizing)
+        run = analysis.run(Fraction(1, 20), trace="off")
+        simulation, trace = run.simulation, run.trace
         assert trace.firings == []
         assert trace.endpoint_events == []
         assert trace.violations == []
@@ -541,9 +549,8 @@ class TestTraceLevels:
 
     def test_endpoints_level_skips_firings_keeps_measurements(self, quickstart_sized):
         result, sizing = quickstart_sized
-        _, trace = simulate_quickstart(
-            Fraction(1, 20), result=result, sizing=sizing, trace_level="endpoints"
-        )
+        analysis = Analysis(quickstart_program(), result, sizing=sizing)
+        trace = analysis.run(Fraction(1, 20), trace="endpoints").trace
         assert trace.firings == []
         assert trace.buffer_high_water == {}
         assert len(trace.endpoint_events) > 0
@@ -551,9 +558,8 @@ class TestTraceLevels:
 
     def test_full_level_unchanged(self, quickstart_sized):
         result, sizing = quickstart_sized
-        _, trace = simulate_quickstart(
-            Fraction(1, 20), result=result, sizing=sizing, trace_level="full"
-        )
+        analysis = Analysis(quickstart_program(), result, sizing=sizing)
+        trace = analysis.run(Fraction(1, 20), trace="full").trace
         assert len(trace.firings) > 0
         assert len(trace.buffer_high_water) > 0
 
@@ -564,9 +570,7 @@ class TestTraceLevels:
     def test_sink_values_identical_across_levels(self, quickstart_sized):
         result, sizing = quickstart_sized
         consumed = {}
+        analysis = Analysis(quickstart_program(), result, sizing=sizing)
         for level in ("off", "endpoints", "full"):
-            simulation, _ = simulate_quickstart(
-                Fraction(1, 20), result=result, sizing=sizing, trace_level=level
-            )
-            consumed[level] = list(simulation.sinks["averages"].consumed)
+            consumed[level] = list(analysis.run(Fraction(1, 20), trace=level).sink("averages"))
         assert consumed["off"] == consumed["endpoints"] == consumed["full"]

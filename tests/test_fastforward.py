@@ -31,7 +31,7 @@ from repro.engine.policies import BoundedProcessors, SelfTimedUnbounded, StaticO
 from repro.engine.synthetic import fork_join_program, ring_program, tasks_from_sdf
 from repro.platform.model import Platform
 from repro.platform.policies import FixedPriorityPreemptive, ListScheduledPlatform
-from repro.runtime.functions import FunctionRegistry
+from repro.runtime.functions import FunctionRegistry, qualify_functions
 from repro.runtime.sources import ConstantStimulus, PeriodicStimulus
 from repro.runtime.trace import TraceRecorder
 from repro.util.runwarnings import warning_code
@@ -608,26 +608,56 @@ class TestAutoRefusalWarningCodes:
         assert "bare iterator" in run.warnings[0]
         assert "samples" in run.warnings[0]
 
-    def test_undeclared_function_warns_with_stable_code(self):
+    @staticmethod
+    def undeclared_quickstart():
         def undeclared_registry():
             registry = FunctionRegistry()
             registry.register("average2", lambda pair: sum(pair) / len(pair))
             return registry
 
-        program = Program.from_source(
+        return Program.from_source(
             QUICKSTART_OIL_SOURCE,
             name="undeclared-quickstart",
             function_wcets=quickstart_wcets(),
             registry=undeclared_registry,
             signals=lambda: {"samples": PeriodicStimulus([1.0, 2.0])},
         )
-        run = program.analyze().run(Fraction(1, 100))
+
+    def test_undeclared_function_warns_with_stable_code(self):
+        run = self.undeclared_quickstart().analyze().run(Fraction(1, 100))
         assert not run.fast_forwarded
         codes = [warning_code(w) for w in run.warnings]
         assert codes == ["undeclared-function"]
         assert "average2" in run.warnings[0]
         # the free-text message is still an ordinary string
         assert isinstance(run.warnings[0], str)
+
+    def test_engine_and_simulation_share_the_function_qualification(self):
+        # run_tasks and Simulation qualify through one helper, so the same
+        # verdict produces the same message and code on both surfaces
+        engine_run = run_tasks(ring_program(4, tokens=1), stop_after_firings=20)
+        assert not engine_run.fast_forwarded
+        assert engine_run.warnings == [
+            "fast-forward (auto) fell back to naive execution: function(s) "
+            "step declare no jump behaviour (stateless, jump_invariant or "
+            "get_state)"
+        ]
+        assert warning_code(engine_run.warnings[0]) == "undeclared-function"
+        simulation = self.undeclared_quickstart().analyze().simulation()
+        simulation.run(Fraction(1, 100))
+        qualified, specs, warning = qualify_functions(simulation.engine.tasks)
+        assert not qualified and set(specs) == {"average2"}
+        assert simulation.warnings == [warning]
+        assert warning == engine_run.warnings[0].replace("step", "average2")
+
+    def test_unregistered_function_disqualifies_silently(self):
+        class FallbackTask:
+            registry = FunctionRegistry()
+
+            def function_names(self):
+                return frozenset({"unregistered"})
+
+        assert qualify_functions([FallbackTask()]) == (False, {}, None)
 
     def test_sweep_hoists_warning_codes(self):
         report = (

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.api import Analysis
 from repro.apps.pal_decoder import (
     AUDIO_DECIMATION,
     AUDIO_FINAL_DECIMATION,
@@ -108,7 +109,8 @@ class TestDerivedModel:
 class TestPalSimulation:
     def test_decoder_end_to_end(self, pal_app, pal_sized):
         result, sizing = pal_sized
-        simulation, trace = pal_app.simulate(Fraction(3, 2), result=result, sizing=sizing)
+        run = Analysis(pal_app.program(), result, sizing=sizing).run(Fraction(3, 2))
+        simulation, trace = run.simulation, run.trace
 
         # Real-time behaviour: no deadline misses with the analysed capacities.
         assert trace.deadline_miss_count() == 0
@@ -133,6 +135,5 @@ class TestPalSimulation:
     def test_mute_mode_activates_on_weak_signal(self, pal_sized):
         result, sizing = pal_sized
         app = PalDecoderApp(scale=1000, mute_threshold=10.0)  # absurdly high threshold
-        simulation, trace = app.simulate(Fraction(1, 2), result=result, sizing=sizing)
-        audio = simulation.sinks["speakers"].consumed
+        audio = Analysis(app.program(), result, sizing=sizing).run(Fraction(1, 2)).sink("speakers")
         assert audio and all(value == 0.0 for value in audio)

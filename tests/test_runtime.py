@@ -18,7 +18,7 @@ from repro.runtime import (
     default_registry,
     evaluate_expression,
 )
-from repro.apps.producer_consumer import compile_quickstart, quickstart_registry
+from repro.apps.producer_consumer import quickstart_registry
 
 
 class TestEventQueue:

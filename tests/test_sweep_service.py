@@ -337,16 +337,6 @@ class TestServiceSweep:
         assert second.service_stats["store_hits"] == 3
         assert second.to_json() == clean
 
-    def test_thread_backend_checkpoints_safely(self, tmp_path):
-        clean = _quick_sweep().run(executor="serial").to_json()
-        report = _quick_sweep().run(
-            executor="thread", workers=3, checkpoint=tmp_path / "ckpt.jsonl"
-        )
-        assert report.to_json() == clean
-        resumed = _quick_sweep().run(checkpoint=tmp_path / "ckpt.jsonl")
-        assert resumed.service_stats["resumed"] == 3
-        assert resumed.to_json() == clean
-
     def test_process_backend_checkpoints_from_the_parent(self, tmp_path):
         sweep = Sweep.from_callable(_square_point).add_axis("n", [1, 2, 3, 4])
         clean = (
@@ -460,6 +450,15 @@ class TestShardMerge:
         assert merged.to_json() == clean
         # merge is order-insensitive: checkpoints index by grid position
         assert merge(_quick_sweep(), list(reversed(paths))).to_json() == clean
+
+    def test_shard_rejects_a_backend_it_cannot_use(self, tmp_path):
+        spec = shard(_quick_sweep(), 2)[0]
+        checkpoint = tmp_path / "shard.jsonl"
+        with pytest.raises(ValueError, match="executor='process'"):
+            run_shard(spec, checkpoint=checkpoint, workers=2)
+        with pytest.raises(ValueError, match="unknown executor"):
+            run_shard(spec, checkpoint=checkpoint, executor="thread")
+        assert not checkpoint.exists()
 
     def test_shards_share_a_store(self, tmp_path):
         store = tmp_path / "store"
@@ -588,6 +587,22 @@ class TestJobQueue:
         with pytest.raises(JobError, match="accepts only"):
             queue.run(job)  # plain run refuses failed jobs; resume accepts
 
+    @pytest.mark.parametrize(
+        "executor,workers,message",
+        [
+            ("thread", 1, "unknown executor"),
+            ("procss", 2, "unknown executor"),
+            ("serial", 2, "executor='process'"),
+            ("process", 0, "workers"),
+        ],
+    )
+    def test_rejected_submit_spools_nothing(self, tmp_path, executor, workers, message):
+        queue = JobQueue(tmp_path / "spool")
+        with pytest.raises(ValueError, match=message):
+            queue.submit(_quick_sweep(), executor=executor, workers=workers)
+        assert list(queue.jobs_dir.glob("job-*")) == []
+        assert queue.jobs() == []
+
 
 class TestCli:
     SPEC = {
@@ -601,6 +616,14 @@ class TestCli:
         from repro.service.cli import main
 
         return main(list(map(str, argv)))
+
+    def test_executor_choices_follow_the_api(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(self.SPEC))
+        with pytest.raises(SystemExit):
+            self._main("--root", tmp_path / "spool", "submit", spec, "--executor", "thread")
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+        assert not (tmp_path / "spool").exists()
 
     def test_submit_run_status_flow(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
